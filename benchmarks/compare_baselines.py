@@ -4,13 +4,14 @@
 The JSON perf baselines (``backend_throughput.json``,
 ``service_latency.json``, ``pool_scaling.json``,
 ``obs_overhead.json``, ``wire_efficiency.json``,
-``cluster_scaling.json``, ``ledger_throughput.json``) live under
+``cluster_scaling.json``, ``ledger_throughput.json``) are pinned under
 ``benchmarks/results/`` (full mode) and ``benchmarks/results/smoke/``
-(``REPRO_SMOKE=1`` mode) and are committed to the repository.  Running
-the benchmarks rewrites the mode's files in the working tree; this
-script then compares every watched metric in the freshly measured files
-against the *pinned* (committed) copies and exits non-zero naming each
-metric that regressed beyond the tolerance.
+(``REPRO_SMOKE=1`` mode) and committed to the repository.  Running the
+benchmarks writes fresh numbers to the gitignored
+``benchmarks/results/latest/`` (``latest/smoke/`` in smoke mode) and
+never touches the pinned files; this script then compares every watched
+metric in the fresh files against the pinned copies and exits non-zero
+naming each metric that regressed beyond the tolerance.
 
 Modes are compared like-for-like — a smoke measurement is only ever
 diffed against the pinned smoke baseline — so the CI gate can run the
@@ -31,15 +32,15 @@ Usage::
         # the alarm rings before trusting its silence)
 
     python benchmarks/compare_baselines.py --regen-baselines
-        # re-runs the watched benchmarks to refresh this mode's
-        # pinned files in place (commit the result), mirroring --regen-kats
+        # re-runs the watched benchmarks and copies their fresh output
+        # onto this mode's pinned files (commit the result), mirroring
+        # --regen-kats; the only writer of the tracked results
 
-By default the pinned copy is read from ``git show HEAD:<path>`` so the
-comparison works even after the benchmarks have overwritten the working
-tree; pass ``--baseline-dir`` to diff against a directory instead.
+By default the pinned copy is the tracked file in the working tree;
+pass ``--baseline-dir`` to diff against a directory instead.
 
 Exit codes: 0 clean, 1 regression (or self-check alarm failure),
-2 misconfiguration (missing files, not a git checkout).
+2 misconfiguration (missing files).
 """
 
 from __future__ import annotations
@@ -48,13 +49,17 @@ import argparse
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 RESULTS_DIR = BENCH_DIR / "results"
+#: Where benchmark runs write fresh numbers (see ``conftest.py``).
+LATEST_DIR = RESULTS_DIR / "latest"
 
 #: The benchmark files that (re)generate each baseline.
 BASELINE_SOURCES = {
@@ -167,7 +172,13 @@ def smoke_mode() -> bool:
 
 
 def mode_dir() -> pathlib.Path:
+    """This mode's pinned (tracked) baselines."""
     return RESULTS_DIR / "smoke" if smoke_mode() else RESULTS_DIR
+
+
+def measured_dir() -> pathlib.Path:
+    """This mode's freshly measured (gitignored) numbers."""
+    return LATEST_DIR / "smoke" if smoke_mode() else LATEST_DIR
 
 
 def lookup(record: dict, path: tuple[str, ...]):
@@ -179,25 +190,17 @@ def lookup(record: dict, path: tuple[str, ...]):
     return node if isinstance(node, (int, float)) else None
 
 
+def _load(path: pathlib.Path) -> dict | None:
+    return json.loads(path.read_text()) if path.exists() else None
+
+
 def load_measured(filename: str) -> dict | None:
-    path = mode_dir() / filename
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+    return _load(measured_dir() / filename)
 
 
 def load_pinned(filename: str,
                 baseline_dir: pathlib.Path | None) -> dict | None:
-    if baseline_dir is not None:
-        path = baseline_dir / filename
-        return json.loads(path.read_text()) if path.exists() else None
-    rel = (mode_dir() / filename).relative_to(REPO_ROOT)
-    proc = subprocess.run(
-        ["git", "show", f"HEAD:{rel.as_posix()}"],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        return None
-    return json.loads(proc.stdout)
+    return _load((baseline_dir or mode_dir()) / filename)
 
 
 @dataclass(frozen=True)
@@ -277,7 +280,7 @@ def run_gate(tolerance: float,
             # derived from BASELINE_SOURCES and the pyproject pytest
             # config (pythonpath = ["src"]), so it never drifts into a
             # stale `PYTHONPATH=...` hint again.
-            print(f"{filename}: no fresh measurement in {mode_dir()} — "
+            print(f"{filename}: no fresh measurement in {measured_dir()} — "
                   f"run its benchmark first:\n"
                   f"    {verify_command(filename)}", file=sys.stderr)
             return 2, verdicts
@@ -371,9 +374,11 @@ def run_self_check(tolerance: float,
 
 
 def regen_baselines() -> int:
-    """Re-run the watched benchmarks so this mode's pinned files refresh."""
+    """Re-run the watched benchmarks, then copy the files that run wrote
+    (JSON baselines and their tables) onto this mode's pinned files."""
     files = [str(BENCH_DIR / source)
              for source in BASELINE_SOURCES.values()]
+    started = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", *files],
         cwd=REPO_ROOT)
@@ -381,9 +386,13 @@ def regen_baselines() -> int:
         print("regen: benchmark run failed; baselines not refreshed",
               file=sys.stderr)
         return 2
-    print(f"regen: refreshed {', '.join(BASELINE_SOURCES)} under "
-          f"{mode_dir()} — review `git diff benchmarks/results` and "
-          "commit to pin")
+    fresh = [path for path in sorted(measured_dir().glob("*"))
+             if path.is_file() and path.stat().st_mtime >= started]
+    for path in fresh:
+        shutil.copyfile(path, mode_dir() / path.name)
+    print(f"regen: refreshed {', '.join(path.name for path in fresh)} "
+          f"under {mode_dir()} — review `git diff benchmarks/results` "
+          "and commit to pin")
     return 0
 
 

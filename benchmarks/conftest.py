@@ -2,8 +2,13 @@
 
 Every bench renders its paper-vs-measured table through :func:`emit`, which
 prints it (visible with ``pytest -s`` and in the benchmark log) and writes
-it under ``benchmarks/results/`` so the full set of reproduced tables can
-be inspected after a run.
+it under ``benchmarks/results/latest/`` so the full set of reproduced
+tables can be inspected after a run.
+
+Measured output never lands on the pinned files: ``benchmarks/results/``
+(and ``results/smoke/``) hold the committed baselines, and only
+``python benchmarks/compare_baselines.py --regen-baselines`` rewrites
+them.  ``results/latest/`` is gitignored.
 """
 
 from __future__ import annotations
@@ -16,18 +21,19 @@ import pytest
 from repro.gpusim.device import get_device
 from repro.gpusim.engine import TimingEngine
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Where a run writes what it measured (gitignored).
+LATEST_DIR = pathlib.Path(__file__).parent / "results" / "latest"
 
-#: Smoke mode (``REPRO_SMOKE=1``): tiny configurations for CI.  JSON perf
-#: baselines are mode-specific — smoke runs write under ``results/smoke/``
-#: so they never clobber the pinned full-mode numbers (and vice versa);
-#: ``compare_baselines.py`` picks the matching pinned file per mode.
+#: Smoke mode (``REPRO_SMOKE=1``): tiny configurations for CI.  Output is
+#: mode-specific — smoke runs write under ``latest/smoke/`` so the two
+#: modes never mix; ``compare_baselines.py`` diffs each mode's fresh
+#: numbers against the matching pinned file.
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
 
 def json_baseline_dir() -> pathlib.Path:
-    """Where this run's JSON perf baselines belong (mode-specific)."""
-    directory = RESULTS_DIR / "smoke" if SMOKE else RESULTS_DIR
+    """Where this run's tables and JSON perf numbers go (mode-specific)."""
+    directory = LATEST_DIR / "smoke" if SMOKE else LATEST_DIR
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
@@ -44,8 +50,6 @@ def engine():
 
 @pytest.fixture(scope="session")
 def emit():
-    # Same mode split as the JSON baselines: a smoke run must never
-    # clobber the pinned full-mode tables in the working tree.
     directory = json_baseline_dir()
 
     def _emit(name: str, text: str) -> None:

@@ -1,7 +1,7 @@
 """Observability overhead — tracing on vs off on the warm vectorized path.
 
-The tracing acceptance bar: with a tracer attached, the local facade and
-batch scheduler record a root span plus per-stage sub-spans for every
+The tracing acceptance bar: with a tracer attached, the local facade
+records a root span plus a sign span and per-stage sub-spans for every
 batch, and that bookkeeping must cost at most a few percent of warm
 vectorized signing throughput.  Two deterministic clients — one with a
 ring-only :class:`Tracer`, one without — sign the same warm batch in

@@ -12,9 +12,9 @@ Layers
     -s) parameter sets.
 ``repro.runtime``
     The unified batch-signing runtime: a pluggable ``SigningBackend``
-    interface (scalar / vectorized / modeled-gpu) with first-class
-    ``sign_batch`` APIs, and the ``BatchScheduler`` service layer that
-    queues, routes, and accounts a message stream.
+    interface (scalar / vectorized / modeled-gpu / pooled over a
+    multi-process ``WorkerPool``) with a first-class ``sign_batch`` call
+    — the one path from a batch to signatures on every tier.
 ``repro.gpusim``
     An analytical GPU performance model — device catalog, occupancy, a
     compiler model with native/PTX SHA-256 branches, exact shared-memory
@@ -52,7 +52,7 @@ from .errors import (
 
 
 def __getattr__(name: str):
-    # Lazy: the runtime (scheduler/backends) and the client API facade
+    # Lazy: the runtime (backends, worker pool) and the client API facade
     # pull in their layers only when asked for.
     if name in ("runtime", "api"):
         import importlib

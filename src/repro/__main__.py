@@ -10,9 +10,10 @@ sign / verify
     protocol v3 (or the ``--protocol 2`` JSON downgrade) — same flags,
     same output, any tier.
 serve
-    Drive the batch-signing runtime end-to-end: queue messages through
-    the BatchScheduler, sign them on the selected backends, and report
-    per-backend throughput.
+    Drive the batch-signing runtime end-to-end: sign messages on the
+    selected backends with direct ``sign_batch`` calls, and report
+    per-backend throughput (``--verify`` adds a verified column and
+    exits 1 when any batch fails verification).
 serve-async
     Run the asyncio signing service: multi-tenant keystore,
     deadline-aware batching, admission control, a TCP wire protocol
@@ -184,7 +185,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .runtime import BatchScheduler
+    from .analysis.reporting import format_table
+    from .params import get_params
+    from .runtime import get_backend
 
     if args.messages < 1:
         print("serve: --messages must be >= 1", file=sys.stderr)
@@ -230,27 +233,58 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if backend in ("scalar", "vectorized"):
                 backend_options.setdefault(backend, {})[
                     "cache_budget_mb"] = args.cache_budget_mb
-    scheduler = BatchScheduler(
-        target_batch_size=args.batch_size or args.messages,
-        deterministic=args.deterministic,
-        verify=args.verify,
-        backend_options=backend_options,
-    )
+    batch_size = args.batch_size or args.messages
+    rows = []
+    instances = []
     try:
         for params in args.params.split(","):
-            for backend in backends:
-                scheduler.run(
-                    (f"{params}/{backend}/msg{i}".encode()
-                     for i in range(args.messages)),
-                    params=params.strip(), backend=backend,
-                )
+            params_name = get_params(params.strip()).name
+            keys = None  # one key pair per set, shared by every backend
+            for name in backends:
+                backend = get_backend(name, params_name,
+                                      deterministic=args.deterministic,
+                                      **backend_options.get(name, {}))
+                instances.append(backend)
+                if keys is None:
+                    keys = backend.keygen(
+                        seed=(bytes(3 * backend.params.n)
+                              if args.deterministic else None))
+                messages = [f"{params}/{name}/msg{i}".encode()
+                            for i in range(args.messages)]
+                signed, elapsed, kops, verified = 0, 0.0, [], None
+                for start in range(0, len(messages), batch_size):
+                    batch = messages[start:start + batch_size]
+                    result = backend.sign_batch(batch, keys)
+                    signed += result.count
+                    elapsed += result.elapsed_s
+                    if result.modeled is not None:
+                        kops.append(round(result.modeled.kops, 3))
+                    if args.verify:
+                        verified = verified is not False and all(
+                            backend.verify_batch(batch, result.signatures,
+                                                 keys.public))
+                rows.append([
+                    params_name, result.backend, signed, round(elapsed, 3),
+                    round(signed / elapsed, 3) if elapsed > 0 else 0.0,
+                    max(kops) if kops else "-",
+                    {None: "-", True: "ok", False: "FAILED"}[verified],
+                ])
     finally:
+        for backend in instances:
+            close = getattr(backend, "close", None)
+            if close is not None:
+                close()
         if pool is not None:
             pool.close()
-    print(scheduler.report(
+    print(format_table(
+        ["set", "backend", "signed", "wall s", "sig/s", "modeled KOPS",
+         "verified"],
+        sorted(rows, key=lambda row: (row[0], row[1])),
         title=f"Batch signing runtime, {args.messages} messages per "
-              f"(set, backend)"
-    ))
+              f"(set, backend)"))
+    if any(row[-1] == "FAILED" for row in rows):
+        print("serve: a batch failed verification", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -819,7 +853,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--messages", type=int, default=4,
                          help="messages per (set, backend)")
     p_serve.add_argument("--batch-size", type=int, default=0,
-                         help="scheduler target batch size (default: all)")
+                         help="messages per sign_batch call "
+                              "(default: all)")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="run batches on a multi-process worker pool "
                               "of this size (0 = in-process)")

@@ -1,8 +1,8 @@
 """``repro.api`` — the unified typed client API over every execution tier.
 
 Before this package there were four divergent ways to get a signature
-(direct ``SigningBackend`` calls, ``BatchScheduler`` tickets, the
-``pooled`` backend, raw JSON lines through ``ServiceClient``), each with
+(direct ``SigningBackend`` calls, scheduler tickets, the ``pooled``
+backend, raw JSON lines through ``ServiceClient``), each with
 its own request shape and error surface — and verification was not
 served at all.  ``repro.api`` is the one contract:
 
@@ -20,7 +20,7 @@ callers use :class:`AsyncClient` directly.  Results are always
 :class:`SignResult` / :class:`VerifyResult`, capability discovery is
 always :meth:`~SigningClient.info`, and failures are always the typed
 :mod:`repro.errors` service family — ``except OverloadedError`` means
-the same thing against an in-process scheduler and a remote server.
+the same thing against an in-process backend and a remote server.
 
 The public surface of this package is pinned by
 ``tests/api_surface.json`` (regenerate deliberately with

@@ -51,7 +51,7 @@ class SigningClient(abc.ABC):
 
         The batched entry point: transports amortize framing and batch
         the work (a TCP client packs ``max_batch``-sized ``sign-many``
-        frames; the local client signs one scheduler batch).  Lists
+        frames; the local client signs one backend batch).  Lists
         larger than the transport's frame cap are chunked transparently.
 
         All-or-nothing on every transport: if any message fails (shed,

@@ -1,11 +1,11 @@
 """The in-process transport: a typed client over the batch runtime.
 
-:class:`LocalClient` fronts a :class:`~repro.runtime.scheduler.BatchScheduler`
-per ``(tenant, key)`` — tenant keys come from a
-:class:`~repro.service.keystore.Keystore` (injected through the
-scheduler's ``keys_provider`` hook), and any registered backend can
+:class:`LocalClient` caches one :class:`~repro.runtime.backend.SigningBackend`
+per parameter set and signs each ``(tenant, key)`` group of a call with
+one ``sign_batch`` — tenant keys come from a
+:class:`~repro.service.keystore.Keystore`, and any registered backend can
 execute, including ``pooled`` for multi-core fan-out.  One ``sign_many``
-call is one scheduler batch, so the local transport exposes exactly the
+call is one batch per key, so the local transport exposes exactly the
 amortization the runtime was built for.
 """
 
@@ -14,19 +14,18 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from ..obs.trace import current_trace, start_trace, use_trace
-from ..runtime.scheduler import BatchScheduler, BatchStats
+from ..errors import BackendError
+from ..obs.trace import (TraceContext, current_trace, new_span_id,
+                         stage_timeline, start_trace, use_trace)
+from ..runtime.backend import BatchSignResult, SigningBackend
+from ..runtime.registry import get_backend
 from ..service.keystore import Keystore, derive_seed
-from ..sphincs.signer import Sphincs
+from ..sphincs.signer import KeyPair, Sphincs
 from .base import SigningClient
 from .model import (ServiceInfo, SignRequest, SignResult, VerifyRequest,
                     VerifyResult)
 
 __all__ = ["LocalClient"]
-
-#: Queues never auto-dispatch: every facade call flushes explicitly, so
-#: one ``sign_many`` call maps to exactly one scheduler batch.
-_NEVER_AUTODISPATCH = 1 << 30
 
 
 class LocalClient(SigningClient):
@@ -48,10 +47,10 @@ class LocalClient(SigningClient):
         Result/telemetry label; defaults to ``"pooled"`` when the pooled
         backend executes, ``"local"`` otherwise.
     tracer:
-        Optional :class:`repro.obs.trace.Tracer`.  Each facade call
-        records a root ``client-request`` span and runs its scheduler
-        batch inside that trace context, so the scheduler's ``sign`` and
-        stage spans join the same trace.
+        Optional :class:`repro.obs.trace.Tracer`.  Each facade batch
+        records a root ``client-request`` span with a ``sign`` span and
+        per-stage sub-spans under it (plus the workers' spans on the
+        pooled backend).
     """
 
     def __init__(self, keystore: Keystore | None = None,
@@ -67,12 +66,12 @@ class LocalClient(SigningClient):
         self.backend_options = dict(backend_options or {})
         self.transport = transport_label or (
             "pooled" if backend == "pooled" else "local")
-        self._schedulers: dict[tuple[str, str], BatchScheduler] = {}
+        self._backends: dict[str, SigningBackend] = {}
         self._pool = None
         self._owns_pool = False
         if backend == "pooled":
-            # One worker pool shared by every (tenant, key) scheduler —
-            # without this, each tenant would spawn its own processes.
+            # One worker pool shared by every parameter set's backend —
+            # without this, each set would spawn its own processes.
             options = dict(self.backend_options.get("pooled", {}))
             if options.get("pool") is None:
                 from ..runtime.pool import WorkerPool
@@ -111,37 +110,21 @@ class LocalClient(SigningClient):
     # ------------------------------------------------------------------
     # Transport primitives
     # ------------------------------------------------------------------
-    def _scheduler_for(self, tenant: str, key: str) -> BatchScheduler:
-        entry = self._schedulers.get((tenant, key))
-        if entry is None:
-            keys, _ = self.keystore.resolve(tenant, key)
-            entry = BatchScheduler(
-                target_batch_size=_NEVER_AUTODISPATCH,
-                backend=self.backend_name,
+    def _backend_for(self, params_name: str) -> SigningBackend:
+        backend = self._backends.get(params_name)
+        if backend is None:
+            backend = self._backends[params_name] = get_backend(
+                self.backend_name, params_name,
                 deterministic=self.deterministic,
-                backend_options=self.backend_options,
-                keys_provider=lambda params_name, _keys=keys: _keys,
-                tracer=self.tracer,
-            )
-            self._schedulers[(tenant, key)] = entry
-        return entry
-
-    def _result(self, request: SignRequest, signature: bytes,
-                stats: BatchStats) -> SignResult:
-        return SignResult(
-            signature=signature, tenant=request.tenant, key=request.key,
-            params=stats.params, backend=stats.backend,
-            batch_size=stats.count, wait_ms=0.0,
-            total_ms=round(stats.elapsed_s * 1000.0, 3),
-            transport=self.transport,
-        )
+                **self.backend_options.get(self.backend_name, {}))
+        return backend
 
     def _sign(self, request: SignRequest) -> SignResult:
         return self._sign_many([request])[0]
 
     def _sign_many(self,
                    requests: Sequence[SignRequest]) -> list[SignResult]:
-        # Group by (tenant, key): each group is one scheduler batch, and
+        # Group by (tenant, key): each group is one sign_batch call, and
         # results come back in request order.
         groups: dict[tuple[str, str], list[tuple[int, SignRequest]]] = {}
         for index, request in enumerate(requests):
@@ -149,36 +132,60 @@ class LocalClient(SigningClient):
                 (index, request))
         results: list[SignResult | None] = [None] * len(requests)
         for (tenant, key), members in groups.items():
-            _, params_name = self.keystore.resolve(tenant, key)
-            scheduler = self._scheduler_for(tenant, key)
+            keys, params_name = self.keystore.resolve(tenant, key)
+            backend = self._backend_for(params_name)
+            messages = [request.message for _, request in members]
             if self.tracer is not None:
-                # One trace per facade batch: the root client-request
-                # span plus the scheduler's sign/stage spans underneath.
-                ctx = current_trace() or start_trace()
-                # Wall clock anchors the span; duration is monotonic so
-                # an NTP step mid-batch cannot distort it.
-                started = time.time()
-                started_mono = time.perf_counter()
-                with use_trace(ctx):
-                    tickets = [scheduler.submit(request.message,
-                                                params=params_name)
-                               for _, request in members]
-                    [stats] = scheduler.flush()
-                self.tracer.record_span(
-                    "client-request", trace=ctx, span_id=ctx.span_id,
-                    start=started,
-                    end=started + (time.perf_counter() - started_mono),
-                    tenant=tenant, key=key, batch_size=len(members))
+                result = self._traced_sign(backend, messages, keys,
+                                           tenant, key)
             else:
-                tickets = [scheduler.submit(request.message,
-                                            params=params_name)
-                           for _, request in members]
-                [stats] = scheduler.flush()
-            for (index, request), ticket in zip(members, tickets):
-                signature = scheduler.claim(ticket)
-                assert signature is not None  # flushed above
-                results[index] = self._result(request, signature, stats)
+                result = backend.sign_batch(messages, keys)
+            if result.count != len(messages):
+                raise BackendError(
+                    f"backend {self.backend_name!r} returned {result.count} "
+                    f"signatures for {len(messages)} messages")
+            total_ms = round(result.elapsed_s * 1000.0, 3)
+            for (index, request), signature in zip(members,
+                                                   result.signatures):
+                results[index] = SignResult(
+                    signature=signature, tenant=tenant, key=key,
+                    params=result.params, backend=result.backend,
+                    batch_size=result.count, wait_ms=0.0,
+                    total_ms=total_ms, transport=self.transport)
         return [result for result in results if result is not None]
+
+    def _traced_sign(self, backend: SigningBackend, messages: list[bytes],
+                     keys: KeyPair, tenant: str,
+                     key: str) -> BatchSignResult:
+        """One batch as one trace: a root ``client-request`` span, the
+        ``sign`` span under it, and stage spans under ``sign``."""
+        ctx = current_trace() or start_trace()
+        sign_ctx = TraceContext(ctx.trace_id, new_span_id())
+        # Wall clock anchors the spans; durations are monotonic so an
+        # NTP step mid-batch cannot distort them.
+        started = time.time()
+        started_mono = time.perf_counter()
+        with use_trace(sign_ctx):
+            result = backend.sign_batch(messages, keys)
+        sign_end = started + (time.perf_counter() - started_mono)
+        tracer = self.tracer
+        tracer.record_span(
+            "sign", trace=sign_ctx, span_id=sign_ctx.span_id,
+            parent_id=ctx.span_id, start=started, end=sign_end,
+            backend=result.backend, params=result.params,
+            batch_size=result.count)
+        for stage, start, end in stage_timeline(result.stage_seconds,
+                                                started):
+            tracer.record_span(stage, trace=sign_ctx,
+                               parent_id=sign_ctx.span_id,
+                               start=start, end=end)
+        tracer.ingest(result.spans)
+        tracer.record_span(
+            "client-request", trace=ctx, span_id=ctx.span_id,
+            start=started,
+            end=started + (time.perf_counter() - started_mono),
+            tenant=tenant, key=key, batch_size=len(messages))
+        return result
 
     def _verify(self, request: VerifyRequest) -> VerifyResult:
         keys, params_name = self.keystore.resolve(request.tenant,
@@ -215,6 +222,10 @@ class LocalClient(SigningClient):
         if self._closed:
             return
         self._closed = True
-        self._schedulers.clear()
+        for backend in self._backends.values():
+            close = getattr(backend, "close", None)
+            if close is not None:
+                close()
+        self._backends.clear()
         if self._pool is not None and self._owns_pool:
             self._pool.close()

@@ -29,18 +29,6 @@ class BackendError(ReproError):
     """An unknown, misconfigured, or misused signing-runtime backend."""
 
 
-class UnknownTicketError(BackendError, KeyError):
-    """A scheduler ticket that was never issued, already claimed, or evicted.
-
-    ``BatchScheduler.signature``/``claim`` return ``None`` only for tickets
-    that are still queued; every other miss raises this so callers cannot
-    confuse "not signed yet" with "gone forever".
-    """
-
-    def __str__(self) -> str:  # KeyError quotes its arg; keep the message flat
-        return Exception.__str__(self)
-
-
 class WorkerCrashedError(BackendError):
     """A worker-pool batch could not complete: the worker process died and
     every requeue attempt (bounded by the pool's ``max_retries``) landed on

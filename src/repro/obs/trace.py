@@ -47,7 +47,8 @@ from typing import Iterable, Iterator
 
 __all__ = ["Span", "StageAggregator", "TraceContext", "Tracer",
            "current_trace", "load_spans", "new_span_id", "new_trace_id",
-           "render_critical_path", "start_trace", "use_trace"]
+           "render_critical_path", "stage_timeline", "start_trace",
+           "use_trace"]
 
 #: Default bound on the in-memory span ring.
 RING_SIZE = 4096
@@ -58,6 +59,11 @@ RING_SIZE = 4096
 #: signer's own stages as reported by ``BatchSignResult.stage_seconds``.
 CRITICAL_STAGES = ("queue", "dispatch", "prepare", "fors", "hypertree",
                    "serialize")
+
+#: ``stage_seconds`` keys that time a whole batch (the pool round trip,
+#: summed worker busy time, the vectorized shard pool), not a pipeline
+#: stage — they never become stage spans.
+AGGREGATE_STAGES = ("pool", "workers_busy", "shard_pool")
 
 
 def new_trace_id() -> str:
@@ -87,6 +93,23 @@ _CURRENT: contextvars.ContextVar[TraceContext | None] = \
 def current_trace() -> TraceContext | None:
     """The trace context propagating through this call chain, if any."""
     return _CURRENT.get()
+
+
+def stage_timeline(stage_seconds: dict[str, float],
+                   start: float) -> Iterator[tuple[str, float, float]]:
+    """``(stage, start, end)`` for each pipeline stage of one batch.
+
+    Stages are laid out back to back from *start* (the sign start) in
+    ``stage_seconds`` order — the order they run in — so the
+    reconstruction matches reality to within the untimed gaps between
+    them.  Whole-batch aggregates (:data:`AGGREGATE_STAGES`) are skipped.
+    """
+    offset = start
+    for stage, seconds in stage_seconds.items():
+        if stage in AGGREGATE_STAGES:
+            continue
+        yield stage, offset, offset + seconds
+        offset += seconds
 
 
 def start_trace() -> TraceContext:

@@ -2,9 +2,10 @@
 
 This package is the scaling seam of the reproduction: every execution
 engine — the scalar reference path, the vectorized CPU path, the modeled
-GPU — sits behind one :class:`SigningBackend` interface with first-class
-batch APIs, and :class:`BatchScheduler` provides the service layer that
-queues messages, routes them to backends, and accounts throughput.
+GPU, the multi-process :class:`WorkerPool` behind :class:`PooledBackend`
+— sits behind one :class:`SigningBackend` interface with a first-class
+``sign_batch`` call.  Every tier above it (the local client, the async
+service, the CLI) signs a batch with exactly one such call.
 
 Adding a new device or strategy (sharded, async, a real GPU) means
 registering one new backend — not forking the signer.
@@ -20,7 +21,6 @@ registering one new backend — not forking the signer.
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
 from .pool import PooledBackend, PoolSignOutcome, WorkerPool
 from .registry import available_backends, get_backend, register_backend
-from .scheduler import BatchScheduler, BatchStats
 
 __all__ = [
     "BackendCapabilities",
@@ -29,8 +29,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "BatchScheduler",
-    "BatchStats",
     "WorkerPool",
     "PooledBackend",
     "PoolSignOutcome",

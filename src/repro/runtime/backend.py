@@ -4,8 +4,9 @@ A backend is a signing engine with a first-class *batch* API: callers hand
 it a list of messages and get back a :class:`BatchSignResult` carrying the
 signatures plus per-stage timing and cache statistics.  Every execution
 strategy — the scalar reference path, the vectorized CPU path, the modeled
-GPU — implements this one interface, so schedulers, benchmarks, and
-services route work without knowing how a backend executes it.
+GPU, the worker pool — implements this one interface, so clients,
+benchmarks, and services route work without knowing how a backend
+executes it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class BatchSignResult:
     # For modeled backends: the analytical-model outcome for the same
     # batch (a ``repro.core.batch.BatchResult``); None on pure-CPU paths.
     modeled: Any = None
+    # Span dicts recorded out of process (the pooled backend's workers)
+    # for a batch signed under a trace context; callers ingest them.
+    spans: tuple = ()
 
     @property
     def count(self) -> int:

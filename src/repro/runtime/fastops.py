@@ -28,7 +28,7 @@ from ..params import SphincsParams
 from ..sphincs.encoding import base_w, checksum_digits, message_to_indices
 from ..sphincs.fors import ForsSignature
 from ..sphincs.hypertree import HypertreeSignature
-from ..sphincs.merkle import SubtreeCache, TreeLevels, auth_path, batched_leaves
+from ..sphincs.merkle import TreeLevels, auth_path, batched_leaves
 from .layercache import HypertreeLayerCache
 
 __all__ = ["FastOps"]
@@ -40,25 +40,19 @@ class FastOps:
     """Low-overhead signing primitives for one (parameter set, key pair).
 
     Bound to the *sk_seed*/*pk_seed* of one key so address templates and
-    the layer cache can be reused across every message of every batch
-    signed under that key.  *subtree_cache* accepts either the per-key
-    :class:`HypertreeLayerCache` (default) or a legacy
-    :class:`SubtreeCache` — both expose ``get_or_build``/``stats``; only
-    the layer cache adds the link-signature fast path and prewarm.
+    the per-key :class:`HypertreeLayerCache` (subtrees and WOTS link
+    signatures) can be reused across every message of every batch
+    signed under that key.
     """
 
     def __init__(self, ctx: HashContext, sk_seed: bytes, pk_seed: bytes,
-                 subtree_cache: SubtreeCache | HypertreeLayerCache
-                 | None = None):
+                 cache: HypertreeLayerCache | None = None):
         self.params: SphincsParams = ctx.params
         self.n = ctx.n
         self.sk_seed = sk_seed
         self._mid = ctx.midstate(pk_seed)
-        self.cache = (subtree_cache if subtree_cache is not None
+        self.cache = (cache if cache is not None
                       else HypertreeLayerCache(self.params))
-        self._links = (self.cache
-                       if isinstance(self.cache, HypertreeLayerCache)
-                       else None)
         # Word caches for the loop-varying ADRS words.
         self._chain_words = [packed_u32(i) for i in range(self.params.wots_len)]
         self._pos_words = [packed_u32(i) for i in range(self.params.w)]
@@ -181,8 +175,7 @@ class FastOps:
 
     def prewarm(self) -> None:
         """Precompute the cache's pinned layers (subtrees + links)."""
-        if self._links is not None:
-            self._links.prewarm(self._build_subtree, self.wots_sign_node)
+        self.cache.prewarm(self._build_subtree, self.wots_sign_node)
 
     def wots_sign_node(self, node: bytes, layer: int, tree: int,
                        leaf: int) -> list[bytes]:
@@ -195,20 +188,20 @@ class FastOps:
 
         At layers >= 1 the signed node is the child subtree root — fixed
         per key — so the WOTS link signature is served from (and fed
-        back into) the layer cache when one is attached.
+        back into) the layer cache.
         """
         params = self.params
-        links = self._links
+        links = self.cache
         signature: HypertreeSignature = []
         node = message
         tree, leaf = idx_tree, idx_leaf
         for layer in range(params.d):
             levels = self.subtree_levels(layer, tree)
             chain_values = (links.lookup_link(layer, tree, leaf)
-                            if links is not None and layer else None)
+                            if layer else None)
             if chain_values is None:
                 chain_values = self.wots_sign(node, layer, tree, leaf)
-                if links is not None and layer:
+                if layer:
                     links.store_link(layer, tree, leaf, chain_values)
             signature.append((chain_values, auth_path(levels, leaf)))
             node = levels[-1][0]

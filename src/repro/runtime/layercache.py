@@ -38,7 +38,6 @@ from ..sphincs.merkle import TreeLevels
 __all__ = [
     "DEFAULT_BUDGET_MB",
     "HypertreeLayerCache",
-    "budget_for_entries",
     "choose_pinned_layers",
     "link_entry_bytes",
     "pinned_bytes",
@@ -136,16 +135,6 @@ def sign_hashes_saved(params: SphincsParams, layers: int) -> int:
 def savings_fraction(params: SphincsParams, layers: int) -> float:
     """Fraction of a fresh signature's total hashes the cache removes."""
     return sign_hashes_saved(params, layers) / params.total_sign_hashes()
-
-
-def budget_for_entries(params: SphincsParams, entries: int) -> int:
-    """Map a legacy raw-entry-count cache size to a byte budget.
-
-    Bridges the old ``subtree_cache_size`` knob (a bare count with no
-    byte accounting) onto the shared model so one budget governs every
-    tier.
-    """
-    return max(1, entries) * tree_entry_bytes(params)
 
 
 def choose_pinned_layers(params: SphincsParams, budget_bytes: int,
@@ -266,7 +255,8 @@ class HypertreeLayerCache:
 
     def get_or_build(self, key: tuple[int, int],
                      build: Callable[[], TreeLevels]) -> TreeLevels:
-        """Drop-in for the old ``SubtreeCache.get_or_build`` interface."""
+        """The subtree at ``key = (layer, tree)``, built and stored on a
+        miss."""
         layer, tree = key
         levels = self.lookup_tree(layer, tree)
         if levels is None:
@@ -379,7 +369,7 @@ class HypertreeLayerCache:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Counters; keeps the legacy ``SubtreeCache.stats`` keys."""
+        """Counters for telemetry (``hits``/``misses`` count subtrees)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -23,8 +23,9 @@ dies with it at respawn — never a sibling's.
 
 :class:`PooledBackend` wraps a pool in the standard
 :class:`SigningBackend` interface and registers under the name
-``"pooled"``, so the scheduler, the differential oracle, and the CLI can
-route to the multi-core tier like to any other backend.  Signatures are
+``"pooled"``, so the local client, the async service, the differential
+oracle, and the CLI route to the multi-core tier like to any other
+backend.  Signatures are
 byte-identical to the inner backend in deterministic mode — workers run
 the same code on the same inputs; the pool only changes *where*.
 """
@@ -40,10 +41,11 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import BackendError, WorkerCrashedError
 from ..obs.log import get_logger
+from ..obs.trace import current_trace, new_span_id, stage_timeline
 from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
@@ -51,7 +53,7 @@ from .backend import BackendCapabilities, BatchSignResult, SigningBackend
 _log = get_logger("pool")
 
 __all__ = ["HashRing", "PoolSignOutcome", "PooledBackend", "WorkerPool",
-           "WorkerStats"]
+           "WorkerStats", "merge_cache_stats"]
 
 #: How long the collector blocks on the response queue before scanning
 #: worker liveness.  Small enough that a crash is noticed promptly; large
@@ -65,6 +67,23 @@ _CRASH_EXIT_CODE = 13
 #: Sentinel: "use the pool's configured timeout_s" (``None`` means wait
 #: forever, so it cannot double as the default).
 _POOL_DEFAULT = object()
+
+#: Layer-cache fields that are per-worker configuration, identical on
+#: every worker: merged by max, since summing would multiply them by N.
+_CACHE_CONFIG_FIELDS = ("pinned_layers", "budget_bytes")
+
+
+def merge_cache_stats(snapshots: Iterable[dict]) -> dict[str, int]:
+    """Merge per-worker layer-cache snapshots into one pool-wide view:
+    counters are summed, configuration fields keep their max."""
+    totals: dict[str, int] = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            if key in _CACHE_CONFIG_FIELDS:
+                totals[key] = max(totals.get(key, 0), value)
+            else:
+                totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 # ----------------------------------------------------------------------
@@ -216,14 +235,10 @@ def _worker_spans(worker_id: int, trace: tuple, started_wall: float,
                   busy_s: float, result: BatchSignResult) -> list[dict]:
     """Span dicts for one worker-side batch, serialized for the parent.
 
-    *trace* is the ``(trace_id, parent span id)`` pair the service put
-    on the sign message.  Stage sub-spans are laid out sequentially from
-    the batch start using the backend's ``stage_seconds`` — the stages
-    run in that order, so the reconstruction matches reality to within
-    the (untimed) gaps between them.
+    *trace* is the ``(trace_id, parent span id)`` pair the caller put
+    on the sign message.  Stage sub-spans are laid out from the batch
+    start with :func:`~repro.obs.trace.stage_timeline`.
     """
-    from ..obs.trace import new_span_id
-
     trace_id, parent = trace
     worker_span = new_span_id()
     spans = [{
@@ -233,17 +248,14 @@ def _worker_spans(worker_id: int, trace: tuple, started_wall: float,
         "attrs": {"worker": worker_id, "backend": result.backend,
                   "batch_size": result.count},
     }]
-    offset = started_wall
-    for stage, seconds in result.stage_seconds.items():
-        if stage in ("pool", "workers_busy", "shard_pool"):
-            continue  # aggregates, not pipeline stages
+    for stage, start, end in stage_timeline(result.stage_seconds,
+                                            started_wall):
         spans.append({
             "trace": trace_id, "span": new_span_id(),
             "parent": worker_span, "name": stage,
-            "start": offset, "end": offset + seconds,
+            "start": start, "end": end,
             "attrs": {"worker": worker_id},
         })
-        offset += seconds
     return spans
 
 
@@ -304,7 +316,7 @@ class PoolSignOutcome:
     #: results are picked up in (0.0 for empty batches).
     done_at: float = 0.0
     #: Worker-emitted span dicts (non-empty only for traced batches);
-    #: the dispatcher ingests them into the service's Tracer.
+    #: the caller ingests them into its Tracer.
     spans: tuple = ()
 
 
@@ -570,15 +582,6 @@ class WorkerPool:
         outcomes = [self.result(job_id, timeout=timeout) for job_id in jobs]
         signatures = [sig for outcome in outcomes
                       for sig in outcome.signatures]
-        # Worker cache stats are cumulative gauges; configuration keys
-        # must not be summed across shards (they'd multiply by N).
-        cache_stats: dict[str, int] = {}
-        for outcome in outcomes:
-            for key, value in outcome.cache_stats.items():
-                if key in ("pinned_layers", "budget_bytes"):
-                    cache_stats[key] = max(cache_stats.get(key, 0), value)
-                else:
-                    cache_stats[key] = cache_stats.get(key, 0) + value
         return PoolSignOutcome(
             signatures=signatures,
             workers=tuple(w for outcome in outcomes
@@ -586,7 +589,8 @@ class WorkerPool:
             elapsed_s=time.perf_counter() - started,
             busy_s=sum(outcome.busy_s for outcome in outcomes),
             requeues=sum(outcome.requeues for outcome in outcomes),
-            cache_stats=cache_stats,
+            cache_stats=merge_cache_stats(
+                outcome.cache_stats for outcome in outcomes),
             done_at=max(outcome.done_at for outcome in outcomes),
             spans=tuple(span for outcome in outcomes
                         for span in outcome.spans),
@@ -943,11 +947,17 @@ class PooledBackend(SigningBackend):
     """The worker pool behind the standard :class:`SigningBackend` API.
 
     Registered as ``"pooled"``: ``get_backend("pooled", "128f",
-    workers=4)`` gives the scheduler, oracle, and CLI a multi-core target
-    with no new wiring.  A single ``sign_batch`` call is split across
-    every worker once it holds at least two messages per worker;
-    smaller batches ride the hash ring keyed on the public seed, so
-    repeat traffic under one key stays on its warm worker.
+    workers=4)`` gives the local client, oracle, and CLI a multi-core
+    target with no new wiring, and the async service's ``workers=N``
+    tier is one of these per parameter set over its shared pool.  A
+    single ``sign_batch`` call is split across every worker once it
+    holds at least two messages per worker; smaller batches ride the
+    hash ring keyed on the public seed (:meth:`shard_key`), so repeat
+    traffic under one key stays on its warm worker.
+
+    A batch signed under an ambient trace context
+    (:func:`~repro.obs.trace.current_trace`) carries it to the workers,
+    and the worker spans come back on ``BatchSignResult.spans``.
 
     Parameters
     ----------
@@ -1000,16 +1010,24 @@ class PooledBackend(SigningBackend):
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def shard_key(keys: KeyPair) -> str:
+        """The hash-ring key a key pair's batches and prewarms route by."""
+        return keys.pk_seed.hex()
+
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
+        ctx = current_trace()
         outcome = self.pool.sign_batch(
             messages, keys, self.params.name,
-            shard_key=keys.pk_seed.hex(), split=True)
+            shard_key=self.shard_key(keys), split=True,
+            trace=(ctx.trace_id, ctx.span_id) if ctx is not None else None)
         result = self._timed_result(
             list(outcome.signatures), started,
             stage_seconds={"pool": outcome.elapsed_s,
                            "workers_busy": outcome.busy_s},
+            spans=outcome.spans,
         )
         result.cache_stats = {
             "workers": len(set(outcome.workers)),
@@ -1024,7 +1042,7 @@ class PooledBackend(SigningBackend):
     def prewarm_key(self, keys: KeyPair) -> None:
         """Prewarm *keys* on its shard owner (same routing as signing)."""
         self.pool.warm(keys, self.params.name,
-                       shard_key=keys.pk_seed.hex())
+                       shard_key=self.shard_key(keys))
 
     def invalidate_key(self, keys: KeyPair) -> None:
         self.pool.invalidate(keys, self.params.name)
@@ -1033,16 +1051,9 @@ class PooledBackend(SigningBackend):
         self.pool.invalidate(None, self.params.name)
 
     def cache_stats(self) -> dict[str, int]:
-        """Merge the latest per-worker snapshots (sum counters, keep
-        per-worker-invariant configuration keys at their max)."""
-        totals: dict[str, int] = {}
-        for stats in self.pool.stats_by_worker:
-            for field_, value in stats.cache.items():
-                if field_ in ("pinned_layers", "budget_bytes"):
-                    totals[field_] = max(totals.get(field_, 0), value)
-                else:
-                    totals[field_] = totals.get(field_, 0) + value
-        return totals
+        """The latest per-worker snapshots, merged pool-wide."""
+        return merge_cache_stats(
+            stats.cache for stats in self.pool.stats_by_worker)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

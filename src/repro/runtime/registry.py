@@ -3,8 +3,8 @@
 Built-in backends are registered lazily by import path so that
 ``import repro.runtime`` stays light (the modeled-GPU backend pulls in the
 whole analytical model).  Third-party engines register a factory under a
-new name and every scheduler, benchmark, and CLI command can route to
-them immediately.
+new name and every client, service, benchmark, and CLI command can
+route to them immediately.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
 from .fastops import FastOps
-from .layercache import (DEFAULT_BUDGET_MB, HypertreeLayerCache,
-                         budget_for_entries)
+from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
 
 __all__ = ["VectorizedBackend"]
 
@@ -53,32 +52,23 @@ class VectorizedBackend(SigningBackend):
         Per-key layer-cache byte budget (pinned top layers + LRU working
         set, sized by :mod:`repro.runtime.layercache`).  Default
         ``DEFAULT_BUDGET_MB``.
-    subtree_cache_size:
-        Deprecated raw-entry-count knob; mapped onto the byte-budget
-        model (``entries * tree_entry_bytes``) when *cache_budget_mb* is
-        not given.
     """
 
     name = "vectorized"
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False, shards: int = 0,
-                 cache_budget_mb: float | None = None,
-                 subtree_cache_size: int | None = None):
+                 cache_budget_mb: float | None = None):
         super().__init__(params, deterministic=deterministic)
         if shards < 0:
             raise BackendError(f"shards must be >= 0, got {shards}")
         self.shards = shards
-        if cache_budget_mb is not None:
-            if cache_budget_mb <= 0:
-                raise BackendError(
-                    f"cache_budget_mb must be > 0, got {cache_budget_mb}")
-            self._budget_bytes = int(cache_budget_mb * 1024 * 1024)
-        elif subtree_cache_size is not None:
-            self._budget_bytes = budget_for_entries(self.params,
-                                                    subtree_cache_size)
-        else:
-            self._budget_bytes = int(DEFAULT_BUDGET_MB * 1024 * 1024)
+        if cache_budget_mb is None:
+            cache_budget_mb = DEFAULT_BUDGET_MB
+        if cache_budget_mb <= 0:
+            raise BackendError(
+                f"cache_budget_mb must be > 0, got {cache_budget_mb}")
+        self._budget_bytes = int(cache_budget_mb * 1024 * 1024)
         self.ctx: HashContext = self._scheme.ctx  # shared midstate cache
         self._fastops: dict[tuple[bytes, bytes], FastOps] = {}
 

@@ -23,12 +23,10 @@ Module map
     :class:`SigningService` (keystore + batcher + admission control +
     telemetry, in-process ``await service.sign(...)`` API) and
     :class:`SigningServer` (the newline-delimited JSON TCP front end).
-:mod:`.dispatch`
-    :class:`ShardedDispatcher` — consistent-hashes ``(tenant, key)``
-    batches onto the slots of a :class:`~repro.runtime.pool.WorkerPool`
-    when the service runs with ``workers=N``, preserving per-key cache
-    affinity while different tenants sign concurrently on different
-    cores.
+    With ``workers=N`` every batch signs through a
+    :class:`~repro.runtime.pool.PooledBackend` over one shared
+    :class:`~repro.runtime.pool.WorkerPool`, which hashes each key onto
+    a home worker (cache affinity) and splits oversized batches.
 :mod:`.client`
     :class:`ServiceClient` — pipelined async TCP client; many in-flight
     requests per connection, matched by request id.
@@ -61,7 +59,6 @@ from ..errors import (ConnectionLostError, KeystoreError, OverloadedError,
                       UnsupportedVersionError)
 from .batcher import DeadlineBatcher, PendingSign
 from .client import ServiceClient
-from .dispatch import DispatchOutcome, ShardedDispatcher
 from .keystore import Keystore, TenantRecord, derive_seed
 from .loadgen import (TRACES, LoadGenerator, LoadReport, bursty_trace,
                       make_trace, poisson_trace, ramp_trace)
@@ -75,7 +72,6 @@ __all__ = [
     "default_registry",
     "UnknownVerbError", "UnsupportedVersionError", "ConnectionLostError",
     "DeadlineBatcher", "PendingSign",
-    "ShardedDispatcher", "DispatchOutcome",
     "Keystore", "TenantRecord", "derive_seed",
     "SigningService", "SigningServer", "SignOutcome",
     "ServiceClient",

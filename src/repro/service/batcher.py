@@ -13,13 +13,10 @@ The batcher owns no crypto.  The service supplies ``dispatch(queue_key,
 batch)``; the batcher owns queues, per-queue deadline timers, and the
 per-request futures callers await.
 
-``BatchScheduler`` (``repro.runtime.scheduler``) offers the same
-size-or-deadline policy to *synchronous* callers via ``max_wait_s`` +
-``poll()``.  The two are deliberately separate implementations: the
-scheduler keys queues by (params, backend) with one key pair per set and
-is driven by a polling loop, while this batcher keys by (tenant, key) —
-a batch must share a key pair — and uses event-loop timers and futures.
-A change to the dispatch *policy* (when a queue ships) belongs in both.
+This is the only request queue in the system.  Synchronous callers
+(the local client, ``repro serve``) already hold a whole batch and hand
+it straight to one ``SigningBackend.sign_batch`` call; only a live
+service, whose requests arrive one at a time, needs a batcher.
 """
 
 from __future__ import annotations

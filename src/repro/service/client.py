@@ -106,7 +106,7 @@ class ServiceClient:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-        self._fail_pending(ServiceError("client closed"))
+        self._fail_pending(ConnectionLostError("client closed"))
 
     # ------------------------------------------------------------------
     async def ping(self) -> bool:
@@ -365,7 +365,9 @@ class ServiceClient:
                     if not self._deliver_line(line):
                         return
         except asyncio.CancelledError:
-            error = ServiceError("client closed")
+            # Closed under in-flight requests: to their callers the
+            # connection is gone, and a router fails them over.
+            error = ConnectionLostError("client closed")
             raise
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError, OSError) as exc:

@@ -20,11 +20,12 @@ Design notes
   the lock entirely — two ready queues for different tenants sign at the
   same time on different cores.
 * **A worker pool scales across cores.**  Construct the service with
-  ``workers=N`` and batches route through a
-  :class:`~.dispatch.ShardedDispatcher` onto a persistent
-  :class:`~repro.runtime.pool.WorkerPool`: each ``(tenant, key)`` homes
-  on one worker (cache affinity), oversized batches split across all of
-  them, and a crashed worker is respawned with its batches requeued.
+  ``workers=N`` and each parameter set's backend is a
+  :class:`~repro.runtime.pool.PooledBackend` over one shared, persistent
+  :class:`~repro.runtime.pool.WorkerPool`: each key homes on one worker
+  (cache affinity), oversized batches split across all of them, and a
+  crashed worker is respawned with its batches requeued.  Every tier
+  signs a batch through the same single ``sign_batch`` call.
 * **Admission control sheds early.**  If queued depth has reached
   ``max_pending``, :meth:`SigningService.sign` raises
   :class:`OverloadedError` *before* queueing — the client gets an
@@ -42,14 +43,14 @@ from ..errors import (FrameTooLargeError, KeystoreError, OverloadedError,
                       ProtocolError, ServiceError)
 from ..obs.log import get_logger
 from ..obs.trace import (TraceContext, Tracer, current_trace, new_span_id,
-                         new_trace_id, tap_stages)
+                         new_trace_id, stage_timeline, tap_stages,
+                         use_trace)
 from ..runtime.backend import SigningBackend
-from ..runtime.pool import WorkerPool
+from ..runtime.pool import PooledBackend, WorkerPool, merge_cache_stats
 from ..runtime.registry import get_backend
-from ..sphincs.signer import Sphincs
+from ..sphincs.signer import KeyPair, Sphincs
 from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
-from .dispatch import ShardedDispatcher
 from .keystore import Keystore
 from .telemetry import Telemetry, render_snapshot
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
@@ -58,10 +59,6 @@ from .verbs import (ConnectionState, VerbRegistry, default_registry,
 __all__ = ["SignOutcome", "SigningService", "SigningServer"]
 
 _log = get_logger("service")
-
-#: ``stage_seconds`` keys that are whole-batch aggregates, not pipeline
-#: stages — they must not become stage spans.
-_AGGREGATE_STAGES = ("pool", "workers_busy", "shard_pool")
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,11 @@ class SigningService:
             )
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
+        if backend == "pooled":
+            raise ServiceError(
+                "the service's worker tier is spelled workers=N (with an "
+                "in-process backend such as 'vectorized' for the workers "
+                "to host), not backend='pooled'")
         self.keystore = keystore if keystore is not None else Keystore()
         self.backend_name = backend
         self.max_pending = max_pending
@@ -118,8 +120,8 @@ class SigningService:
         self._backends: dict[str, SigningBackend] = {}
         self._sign_lock = asyncio.Lock()
         # Multi-core tier: with workers > 0 (or an externally owned pool),
-        # batches route through a ShardedDispatcher onto long-lived worker
-        # processes instead of the in-process backend.
+        # every parameter set signs through a PooledBackend over this one
+        # pool of long-lived worker processes.
         self._owns_pool = pool is None and workers > 0
         self.pool = pool if pool is not None else (
             WorkerPool(workers=workers, backend=backend,
@@ -127,11 +129,22 @@ class SigningService:
                        backend_options=self.backend_options.get(backend, {}),
                        cache_budget_mb=cache_budget_mb)
             if workers > 0 else None)
-        self.dispatcher = (ShardedDispatcher(self.pool)
-                           if self.pool is not None else None)
-        if self.dispatcher is not None:
-            self.telemetry.set_pool_provider(self.dispatcher.stats)
-            self._preload_tenant_keys()
+        #: Outcome label for the worker tier (``pooled[N]``); in-process
+        #: batches carry the backend's own name.
+        self._backend_label = (f"pooled[{self.pool.workers}]"
+                               if self.pool is not None else None)
+        # (tenant, key) -> {"slot", "batches", "messages"}: where each
+        # queue's traffic homes on the pool (the ``pool.routes`` stats).
+        self._routes: dict[tuple[str, str], dict] = {}
+        if self.pool is not None:
+            self.telemetry.set_pool_provider(self._pool_snapshot)
+            # Prewarm every tenant key on its home worker now, so the
+            # first real batch for a tenant skips the cold cache build.
+            for params_name in dict.fromkeys(
+                    self.keystore.params_for(tenant)
+                    for tenant in self.keystore.tenants()):
+                self._prewarm_set(self._backend_for(params_name),
+                                  params_name)
         self.telemetry.set_cache_provider(self._cache_snapshot)
         # Key rotation / tenant delete must reach every tier's layer
         # cache — a retired key's cached subtrees must never sign again.
@@ -139,15 +152,11 @@ class SigningService:
         if add_listener is not None:
             add_listener(self._on_key_event)
 
-    def _preload_tenant_keys(self) -> None:
-        """Prewarm every known tenant key on its home worker, so the
-        first real batch for a tenant skips the cold layer-cache build."""
-        assert self.dispatcher is not None
-        for tenant in self.keystore.tenants():
-            params = self.keystore.params_for(tenant)
-            for key_name in self.keystore.key_names(tenant):
-                keys, _ = self.keystore.resolve(tenant, key_name)
-                self.dispatcher.warm(tenant, key_name, keys, params)
+    @property
+    def _prewarms(self) -> bool:
+        """Whether tenant keys are prewarmed: always on the worker tier,
+        in-process only when the operator set an explicit cache budget."""
+        return self.pool is not None or self.cache_budget_mb is not None
 
     def _on_key_event(self, event: str, tenant: str,
                       key_name: str | None, old_keys) -> None:
@@ -156,35 +165,52 @@ class SigningService:
                   key=key_name, invalidated=old_keys is not None)
         if old_keys is not None:
             if self.pool is not None:
+                # Every worker, every set: crash recovery may have signed
+                # for the key on any slot.
                 self.pool.invalidate(old_keys)
-            for backend in self._backends.values():
-                backend.invalidate_key(old_keys)
-        if event == "key-rotated" and key_name is not None:
+            else:
+                for backend in self._backends.values():
+                    backend.invalidate_key(old_keys)
+        if event == "key-rotated" and key_name is not None and self._prewarms:
             keys, params = self.keystore.resolve(tenant, key_name)
-            if self.dispatcher is not None:
-                self.dispatcher.warm(tenant, key_name, keys, params)
-            elif self.cache_budget_mb is not None:
-                backend = self._backends.get(params)
-                if backend is not None:
-                    backend.prewarm_key(keys)
+            # The worker tier warms the new key on its home worker now;
+            # an in-process set with no backend yet prewarms all its keys
+            # when its first batch creates one.
+            backend = (self._backend_for(params) if self.pool is not None
+                       else self._backends.get(params))
+            if backend is not None:
+                backend.prewarm_key(keys)
+
+    def _pool_snapshot(self) -> dict:
+        """Pool health plus the ``tenant/key`` -> home slot route table."""
+        snapshot = self.pool.stats()
+        snapshot["routes"] = {
+            f"{tenant}/{key_name}": dict(entry)
+            for (tenant, key_name), entry in sorted(self._routes.items())
+        }
+        return snapshot
+
+    def _record_route(self, tenant: str, key_name: str, keys: KeyPair,
+                      messages: int) -> None:
+        entry = self._routes.setdefault(
+            (tenant, key_name), {"slot": 0, "batches": 0, "messages": 0})
+        entry["slot"] = self.pool.worker_for(PooledBackend.shard_key(keys))
+        entry["batches"] += 1
+        entry["messages"] += messages
 
     def _cache_snapshot(self) -> dict:
         """Layer-cache stats across tiers (the snapshot's ``cache``
-        section): one scope per in-process backend, one merged scope for
-        the worker pool's latest per-worker reports."""
+        section): one scope per in-process backend, or one merged scope
+        for the worker pool's latest per-worker reports."""
         scopes: dict[str, dict] = {}
-        for params_name, backend in sorted(self._backends.items()):
-            stats = backend.cache_stats()
-            if stats:
-                scopes[f"in-process {params_name}"] = stats
-        if self.pool is not None:
-            totals: dict[str, int] = {}
-            for worker_stats in self.pool.stats_by_worker:
-                for key, value in worker_stats.cache.items():
-                    if key in ("pinned_layers", "budget_bytes"):
-                        totals[key] = max(totals.get(key, 0), value)
-                    else:
-                        totals[key] = totals.get(key, 0) + value
+        if self.pool is None:
+            for params_name, backend in sorted(self._backends.items()):
+                stats = backend.cache_stats()
+                if stats:
+                    scopes[f"in-process {params_name}"] = stats
+        else:
+            totals = merge_cache_stats(
+                worker.cache for worker in self.pool.stats_by_worker)
             if totals:
                 scopes["workers"] = totals
         if not scopes:
@@ -284,7 +310,13 @@ class SigningService:
         await self.batcher.flush()
 
     def close(self) -> None:
+        """Stop the batcher and every backend (and pool) this service
+        created; an externally supplied pool stays with its owner."""
         self.batcher.close()
+        for backend in self._backends.values():
+            close = getattr(backend, "close", None)
+            if close is not None:
+                close()
         if self.pool is not None and self._owns_pool:
             self.pool.close()
 
@@ -293,32 +325,41 @@ class SigningService:
     # ------------------------------------------------------------------
     #: Backends whose constructor takes the shared ``cache_budget_mb``
     #: knob (the modeled backend has no layer cache to size).
-    _CACHE_AWARE = ("scalar", "vectorized", "pooled")
+    _CACHE_AWARE = ("scalar", "vectorized")
+
+    def _new_backend(self, params_name: str) -> SigningBackend:
+        if self.pool is not None:
+            return PooledBackend(params_name,
+                                 deterministic=self.deterministic,
+                                 pool=self.pool)
+        options = dict(self.backend_options.get(self.backend_name, {}))
+        if (self.cache_budget_mb is not None
+                and self.backend_name in self._CACHE_AWARE):
+            options.setdefault("cache_budget_mb", self.cache_budget_mb)
+        return get_backend(self.backend_name, params_name,
+                           deterministic=self.deterministic, **options)
 
     def _backend_for(self, params_name: str) -> SigningBackend:
         instance = self._backends.get(params_name)
         if instance is None:
-            options = dict(self.backend_options.get(self.backend_name, {}))
-            if (self.cache_budget_mb is not None
-                    and self.backend_name in self._CACHE_AWARE):
-                options.setdefault("cache_budget_mb", self.cache_budget_mb)
-            instance = get_backend(
-                self.backend_name, params_name,
-                deterministic=self.deterministic,
-                **options,
-            )
-            self._backends[params_name] = instance
-            if self.cache_budget_mb is not None:
-                # Explicit budget = the operator opted into warm caches:
-                # prewarm this parameter set's tenant keys now so the
-                # first batch already runs the fast path.
-                for tenant in self.keystore.tenants():
-                    if self.keystore.params_for(tenant) != params_name:
-                        continue
-                    for key_name in self.keystore.key_names(tenant):
-                        keys, _ = self.keystore.resolve(tenant, key_name)
-                        instance.prewarm_key(keys)
+            instance = self._backends[params_name] = \
+                self._new_backend(params_name)
+            if self.pool is None and self.cache_budget_mb is not None:
+                # Explicit budget = the operator opted into warm caches.
+                # (The worker tier prewarms at construction and on key
+                # rotation only.)
+                self._prewarm_set(instance, params_name)
         return instance
+
+    def _prewarm_set(self, backend: SigningBackend, params_name: str) -> None:
+        """Prewarm every tenant key on *params_name* so the first batch
+        already runs the fast path."""
+        for tenant in self.keystore.tenants():
+            if self.keystore.params_for(tenant) != params_name:
+                continue
+            for key_name in self.keystore.key_names(tenant):
+                keys, _ = self.keystore.resolve(tenant, key_name)
+                backend.prewarm_key(keys)
 
     async def _dispatch(self, queue_key: QueueKey,
                         batch: list[PendingSign]) -> None:
@@ -336,63 +377,53 @@ class SigningService:
         try:
             keys, params_name = self.keystore.resolve(tenant, key_name)
             messages = [request.message for request in batch]
-            if self.dispatcher is not None:
-                # Pooled path: no dispatch lock — queues for different
-                # (tenant, key) shards sign concurrently on different
-                # worker processes.  The batcher fires each ready queue
-                # as its own task, so nothing here awaits a *previous*
-                # batch before this one starts.
+            backend = self._backend_for(params_name)
+            # Worker-side spans (the pooled backend) parent to the first
+            # traced request's dispatch span.
+            worker_trace = (TraceContext(traced[0].trace.trace_id,
+                                         dispatch_ids[0])
+                            if traced else None)
+
+            def sign_batch():
+                with use_trace(worker_trace):
+                    return backend.sign_batch(messages, keys)
+
+            # Concurrent-dispatch backends (the pooled one) skip the
+            # lock: batches for different keys sign at the same time on
+            # different worker processes.  The batcher fires each ready
+            # queue as its own task, so nothing here awaits a *previous*
+            # batch before this one starts.
+            guard = (contextlib.nullcontext()
+                     if backend.concurrent_dispatch
+                     else self._sign_lock)
+            async with guard:
                 dispatch_started = loop.time()
                 # Spans anchor on one wall-clock read; durations come
                 # from the monotonic clock so an NTP step mid-batch
                 # cannot produce negative or inflated sign spans.
                 dispatch_wall = sign_start = time.time()
                 dispatch_mono = time.perf_counter()
-                outcome = await self.dispatcher.sign_batch(
-                    tenant, key_name, messages, keys, params_name,
-                    trace=((traced[0].trace.trace_id, dispatch_ids[0])
-                           if traced else None))
+                # Tap the hash-context hook for a traced batch: adds
+                # wots/merkle sub-stage times and per-stage hash counts
+                # on backends that expose the hook (the guard lock
+                # serializes access to the context).
+                with (tap_stages(backend) if traced
+                      else contextlib.nullcontext()) as tap:
+                    result = await loop.run_in_executor(None, sign_batch)
                 sign_end = dispatch_wall + (time.perf_counter()
                                             - dispatch_mono)
-                signatures = outcome.signatures
-                backend_name = f"pooled[{self.pool.workers}]"
-                if traced and outcome.spans:
-                    # Worker-side spans (worker + signer stages) already
-                    # carry the first traced request's ids.
-                    self.tracer.ingest(outcome.spans)
-            else:
-                backend = self._backend_for(params_name)
-                # Concurrent-dispatch backends skip the lock: independent
-                # batches may sign at the same time.
-                guard = (contextlib.nullcontext()
-                         if backend.concurrent_dispatch
-                         else self._sign_lock)
-                async with guard:
-                    dispatch_started = loop.time()
-                    dispatch_wall = sign_start = time.time()
-                    dispatch_mono = time.perf_counter()
-                    if traced:
-                        # Tap the hash-context hook for the batch: adds
-                        # wots/merkle sub-stage times and per-stage hash
-                        # counts on backends that expose the hook (the
-                        # guard lock serializes access to the context).
-                        with tap_stages(backend) as tap:
-                            result = await loop.run_in_executor(
-                                None, backend.sign_batch, messages, keys)
-                    else:
-                        tap = None
-                        result = await loop.run_in_executor(
-                            None, backend.sign_batch, messages, keys)
-                    sign_end = dispatch_wall + (time.perf_counter()
-                                                - dispatch_mono)
-                signatures = result.signatures
-                backend_name = result.backend
-                if traced:
-                    stage_seconds = dict(result.stage_seconds)
-                    if tap is not None:
-                        stage_hashes = dict(tap.stage_hashes)
-                        for stage, seconds in tap.stage_seconds.items():
-                            stage_seconds.setdefault(stage, seconds)
+            signatures = result.signatures
+            backend_name = self._backend_label or result.backend
+            if traced:
+                stage_seconds = dict(result.stage_seconds)
+                if tap is not None:
+                    stage_hashes = dict(tap.stage_hashes)
+                    for stage, seconds in tap.stage_seconds.items():
+                        stage_seconds.setdefault(stage, seconds)
+                if result.spans:
+                    # Worker + worker-stage spans, already carrying the
+                    # first traced request's ids.
+                    self.tracer.ingest(result.spans)
             if len(signatures) != len(batch):
                 raise ServiceError(
                     f"backend {self.backend_name!r} returned "
@@ -406,6 +437,8 @@ class SigningService:
                        error=f"{type(exc).__name__}: {exc}")
             raise  # the batcher forwards this to every future in the batch
         done = loop.time()
+        if self.pool is not None:
+            self._record_route(tenant, key_name, keys, len(batch))
         if traced:
             done_wall = dispatch_wall + (time.perf_counter()
                                          - dispatch_mono)
@@ -437,9 +470,6 @@ class SigningService:
         Every traced request in the batch gets the full breakdown — a
         batch amortizes one backend call over its requests, so the stage
         timings legitimately describe each request's critical path.
-        Stage sub-spans are laid out sequentially from the sign start;
-        the stages run in that order, so the reconstruction matches
-        reality to within the untimed gaps between them.
         """
         tracer = self.tracer
         for request, dispatch_id in zip(traced, dispatch_ids):
@@ -457,17 +487,13 @@ class SigningService:
             tracer.record_span(
                 "sign", trace=trace, span_id=sign_id,
                 parent_id=dispatch_id, start=sign_start, end=sign_end)
-            offset = sign_start
-            for stage, seconds in stage_seconds.items():
-                if stage in _AGGREGATE_STAGES:
-                    continue
+            for stage, start, end in stage_timeline(stage_seconds,
+                                                    sign_start):
                 attrs = {}
                 if stage_hashes and stage in stage_hashes:
                     attrs["hashes"] = stage_hashes[stage]
-                tracer.record_span(
-                    stage, trace=trace, parent_id=sign_id,
-                    start=offset, end=offset + seconds, **attrs)
-                offset += seconds
+                tracer.record_span(stage, trace=trace, parent_id=sign_id,
+                                   start=start, end=end, **attrs)
 
     # ------------------------------------------------------------------
     # Introspection

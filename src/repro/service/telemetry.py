@@ -200,8 +200,8 @@ class Telemetry:
                                    scope=scope).set(value)
 
     def set_pool_provider(self, provider: Callable[[], dict] | None) -> None:
-        """Attach a worker-pool stats source (e.g.
-        ``ShardedDispatcher.stats``).  When set, every snapshot carries a
+        """Attach a worker-pool stats source (the signing service's pool
+        health plus route table).  When set, every snapshot carries a
         ``pool`` section with per-worker utilization, queue depth, and
         requeue/respawn counters — the execution tier's half of the
         service dashboard."""
@@ -209,7 +209,7 @@ class Telemetry:
 
     def set_cache_provider(self, provider: Callable[[], dict] | None) -> None:
         """Attach a layer-cache stats source (the signing service's
-        aggregate over its in-process backends and worker snapshots).
+        aggregate over its in-process backends or worker snapshots).
         When set, every snapshot carries a ``cache`` section with
         hit/miss/evict/bytes counters per scope."""
         self._cache_provider = provider

@@ -13,7 +13,7 @@ experimentation and are exercised independently by the test suite.
 from .signer import Sphincs, SigningArtifacts, SignTask, KeyPair
 from .wots import Wots
 from .fors import Fors
-from .merkle import treehash, auth_path, batched_leaves, root_from_auth, SubtreeCache
+from .merkle import treehash, auth_path, batched_leaves, root_from_auth
 from .hypertree import Hypertree
 from .encoding import base_w, checksum_digits, message_to_indices, split_digest
 
@@ -23,7 +23,6 @@ __all__ = [
     "SignTask",
     "KeyPair",
     "batched_leaves",
-    "SubtreeCache",
     "Wots",
     "Fors",
     "Hypertree",

@@ -3,7 +3,7 @@
 Correctness in this repository is enforced by machinery, not eyeballs:
 
 * :mod:`.oracle` — the cross-backend **differential oracle**: every
-  signing path (backends, scheduler, async service) over one adversarial
+  signing path (backends, service, clients) over one adversarial
   corpus, byte-compared against the reference scheme, divergences
   localized to the first diverging hop.
 * :mod:`.kat` — **pinned KAT vectors** for 128s/128f/192s/256s under

@@ -230,10 +230,8 @@ class CachedNodeFault:
             # The parent layer's cached WOTS link signs the *old* root;
             # drop it so the signer re-signs the corrupted root (a fresh
             # link that verifies) instead of failing on a stale one.
-            drop_link = getattr(ops.cache, "drop_link", None)
-            if drop_link is not None:
-                drop_link(layer + 1, tree >> th,
-                          tree & (params.tree_leaves - 1))
+            ops.cache.drop_link(layer + 1, tree >> th,
+                                tree & (params.tree_leaves - 1))
         self.calls_seen += 1
         self.fired = True
         mode = ("ancestors recomputed, still verifies"

@@ -1,9 +1,9 @@
 """The cross-backend differential oracle.
 
 Every execution strategy in this repository — the scalar reference
-backend, the vectorized CPU backend, the modeled-GPU backend, the
-:class:`~repro.runtime.scheduler.BatchScheduler` service layer, the
-async :class:`~repro.service.server.SigningService`, and the unified
+backend, the vectorized CPU backend, the modeled-GPU backend, the worker
+pool, the async :class:`~repro.service.server.SigningService` (in-process
+and with ``workers=N``), and the unified
 :mod:`repro.api` client facade over each transport (``client:local``,
 ``client:pooled``, ``client:tcp`` pinned to the v2 JSON wire, and
 ``client:tcp-v3`` over the binary framing with streamed sign-many —
@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from ..errors import ConformanceError, SignatureFormatError, TuningError
 from ..params import SphincsParams, get_params
 from ..runtime.registry import available_backends, get_backend
-from ..runtime.scheduler import BatchScheduler
 from ..sphincs.signer import KeyPair, Sphincs
 from .corpus import message_corpus
 from .faults import BitFlipFault, CachedNodeFault
@@ -213,15 +212,14 @@ class DifferentialOracle:
         no further wiring.
     corpus:
         ``(case, message)`` pairs; defaults to :func:`message_corpus`.
-    include_scheduler / include_service:
-        Also push the corpus through the ``BatchScheduler`` layer (per
-        backend) and the async ``SigningService`` (vectorized).  When the
-        ``pooled`` backend is in play, the service pass additionally runs
-        with a ``service_workers``-process worker pool behind the sharded
-        dispatcher, proving the whole multi-core tier byte-identical.
+    include_service:
+        Also push the corpus through the async ``SigningService``
+        (vectorized).  When the ``pooled`` backend is in play, the
+        service pass additionally runs with ``workers=service_workers``,
+        proving the whole multi-core tier byte-identical.
     include_clients:
         Also drive the corpus through the :mod:`repro.api` facade on
-        every transport: ``client:local`` (in-process scheduler),
+        every transport: ``client:local`` (in-process backend),
         ``client:pooled`` (worker pool, when ``pooled`` is among the
         backends), ``client:tcp`` (an AsyncClient pinned to the v2 JSON
         wire), and ``client:tcp-v3`` (the same client over v3 binary
@@ -246,7 +244,6 @@ class DifferentialOracle:
                  backends: list[str] | None = None,
                  corpus: list[tuple[str, bytes]] | None = None,
                  seed: int = 0, smoke: bool = False,
-                 include_scheduler: bool = True,
                  include_service: bool = True,
                  include_clients: bool = True,
                  include_ledger: bool = True,
@@ -259,7 +256,6 @@ class DifferentialOracle:
                          else list(available_backends()))
         self.corpus = (corpus if corpus is not None
                        else message_corpus(seed=seed, smoke=smoke))
-        self.include_scheduler = include_scheduler
         self.include_service = include_service
         self.include_clients = include_clients
         self.include_ledger = include_ledger
@@ -294,7 +290,7 @@ class DifferentialOracle:
         results = [reference]
         if isinstance(self.fault, CachedNodeFault):
             # Focused two-pass flow: warm pass, cache strike, faulted
-            # pass.  The service/scheduler/client tiers share the same
+            # pass.  The service/client tiers share the same
             # backend code, so the cached-state property is established
             # once, where the cache lives.
             cached_results, fault_hop = self._run_cached_fault(
@@ -317,15 +313,13 @@ class DifferentialOracle:
                 fault_fired = fault.fired
         if self.fault is None:
             results.extend(self._run_warm_paths(scheme, keys, expected))
-        if self.include_scheduler:
-            results.extend(self._run_scheduler(scheme, keys, expected))
         if self.include_service:
             results.append(asyncio.run(
                 self._run_service(scheme, keys, expected)))
             if "pooled" in self.backends:
                 # The multi-core execution tier must honor the same
                 # byte-identical contract end to end: async service ->
-                # sharded dispatcher -> worker pool -> inner backend.
+                # pooled backend -> worker pool -> inner backend.
                 results.append(asyncio.run(
                     self._run_service(scheme, keys, expected,
                                       workers=self.service_workers)))
@@ -549,31 +543,6 @@ class DifferentialOracle:
             fault_result.error = f"{type(exc).__name__}: {exc}"
         fault_result.elapsed_s = time.perf_counter() - started
         return [warm_result, fault_result], detail
-
-    def _run_scheduler(self, scheme: Sphincs, keys: KeyPair,
-                       expected: dict[str, bytes]) -> list[PathResult]:
-        results = []
-        for name in self.backends:
-            result = PathResult(path=f"scheduler:{name}")
-            started = time.perf_counter()
-            try:
-                scheduler = BatchScheduler(
-                    target_batch_size=max(2, len(self.corpus) // 2),
-                    backend=name, deterministic=True)
-                tickets = scheduler.run(
-                    [message for _, message in self.corpus],
-                    params=self.params.name, backend=name)
-                produced = {case: scheduler.claim(ticket)
-                            for (case, _), ticket
-                            in zip(self.corpus, tickets)}
-                self._compare(result, scheme, keys, expected, produced)
-            except TuningError as exc:
-                result.skipped = str(exc)
-            except Exception as exc:  # noqa: BLE001
-                result.error = f"{type(exc).__name__}: {exc}"
-            result.elapsed_s = time.perf_counter() - started
-            results.append(result)
-        return results
 
     def _client_keystore(self):
         """A keystore whose 'oracle' tenant key equals the reference key

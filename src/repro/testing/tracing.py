@@ -61,8 +61,8 @@ def capture_trace(params: SphincsParams | str, message: bytes,
 
     Uses a fresh deterministic :class:`Sphincs` scheme so traces of the
     same (params, message, keys) triple are reproducible.  *keys* defaults
-    to the all-zero-seed deterministic pair (the same one the scheduler
-    and the KAT store pin).  *fault* is an optional injector from
+    to the all-zero-seed deterministic pair (the same one the KAT store
+    pins).  *fault* is an optional injector from
     :mod:`repro.testing.faults`, installed for the duration of the sign.
     """
     scheme = Sphincs(params, deterministic=True)

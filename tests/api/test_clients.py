@@ -2,7 +2,7 @@
 
 The acceptance contract of the unified API: ``sign`` / ``verify`` /
 ``sign_many`` / ``keys`` / ``info`` return the same typed results with
-the same semantics whether the call executes on an in-process scheduler,
+the same semantics whether the call executes on an in-process backend,
 a multi-core worker pool, or a remote protocol-v2 server — and
 signatures are byte-identical to the reference scheme in deterministic
 mode.

@@ -22,7 +22,6 @@ from repro.runtime import WorkerPool, get_backend
 from repro.runtime.layercache import (
     DEFAULT_BUDGET_MB,
     HypertreeLayerCache,
-    budget_for_entries,
     choose_pinned_layers,
     link_entry_bytes,
     pinned_bytes,
@@ -81,12 +80,6 @@ class TestModel:
         uncapped = choose_pinned_layers(params, budget)
         assert capped <= uncapped
         assert prewarm_hashes(params, uncapped) <= 600_000
-
-    def test_budget_for_entries_bridges_legacy_knob(self):
-        params = get_params("128f")
-        assert budget_for_entries(params, 1) == tree_entry_bytes(params)
-        assert budget_for_entries(params, 8) == 8 * tree_entry_bytes(params)
-        assert budget_for_entries(params, 0) == tree_entry_bytes(params)
 
     def test_tradeoff_table_covers_every_set(self):
         rows = tradeoff_table()
@@ -227,12 +220,6 @@ class TestBackendIntegration:
         assert cached.sign_batch(messages, keys).signatures == expected
         stats = cached.cache_stats()
         assert stats["hits"] > 0
-
-    def test_legacy_subtree_cache_size_maps_to_budget(self):
-        params = get_params("128f")
-        backend = get_backend("vectorized", "128f", deterministic=True,
-                              subtree_cache_size=4)
-        assert backend._budget_bytes == budget_for_entries(params, 4)
 
     @pytest.mark.parametrize("params_name", KAT_SETS)
     def test_cached_vs_cold_byte_identity(self, params_name):

@@ -261,20 +261,17 @@ class TestPooledBackend:
         finally:
             backend.close()
 
-    def test_scheduler_routes_to_pooled(self, keys, reference):
-        from repro.runtime import BatchScheduler
+    def test_local_client_routes_to_pooled(self, reference):
+        from repro.api import LocalClient
 
-        scheduler = BatchScheduler(target_batch_size=len(MESSAGES),
-                                   backend="pooled", deterministic=True,
-                                   backend_options={"pooled":
-                                                    {"workers": 2}})
-        tickets = scheduler.run(MESSAGES, params="128f")
-        produced = [scheduler.claim(ticket) for ticket in tickets]
-        pooled = scheduler.backend_for("128f", "pooled")
+        client = LocalClient(backend="pooled", deterministic=True,
+                             backend_options={"pooled": {"workers": 2}})
         try:
-            scheme_keys = scheduler.keys_for("128f")
-            scalar = get_backend("scalar", "128f", deterministic=True)
-            assert produced == scalar.sign_batch(MESSAGES,
-                                                 scheme_keys).signatures
+            client.add_tenant("acme", "128f", seed=SEED)
+            results = client.sign_many("acme", MESSAGES)
         finally:
-            pooled.close()
+            client.close()
+        assert client._pool.alive_workers() == 0  # owned pool closed
+        assert [result.signature for result in results] == reference
+        assert {result.backend for result in results} == {"pooled"}
+        assert {result.batch_size for result in results} == {len(MESSAGES)}

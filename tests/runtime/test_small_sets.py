@@ -1,36 +1,30 @@
 """Runtime-level coverage for the small (-s) parameter sets.
 
 The paper evaluates the fast sets; the functional layer has always
-supported 128s/192s/256s but nothing exercised them through the batch
-runtime.  One message per set end-to-end (they sign in seconds, not
-milliseconds — that's what "small signature, slow signing" buys).
+supported 128s/192s/256s, and these tests push them through the batch
+runtime's single entry point, ``SigningBackend.sign_batch``.  One
+message per set end-to-end (they sign in seconds, not milliseconds —
+that's what "small signature, slow signing" buys).
 """
 
 import pytest
 
 from repro.params import get_params
-from repro.runtime import BatchScheduler
+from repro.runtime import get_backend
 
 SMALL_SETS = ("128s", "192s", "256s")
 
 
 @pytest.mark.parametrize("params", SMALL_SETS)
-def test_scheduler_sign_verify_small_set(params):
-    scheduler = BatchScheduler(target_batch_size=1, deterministic=True,
-                               verify=True)
+def test_backend_sign_verify_small_set(params):
+    backend = get_backend("vectorized", params, deterministic=True)
+    keys = backend.keygen(seed=bytes(3 * get_params(params).n))
     message = f"small-set {params}".encode()
-    [ticket] = scheduler.run([message], params=params, backend="vectorized")
+    result = backend.sign_batch([message], keys)
 
-    stats = scheduler.batches[-1]
-    assert stats.params == get_params(params).name
-    assert stats.verified is True
-
-    signature = scheduler.signature(ticket)
-    assert signature is not None
+    assert result.params == get_params(params).name
+    [signature] = result.signatures
     assert len(signature) == get_params(params).sig_bytes
-
-    backend = scheduler.backend_for(params, "vectorized")
-    keys = scheduler.keys_for(params)
     assert backend.verify_batch([message], [signature],
                                 keys.public) == [True]
     # Tampered input must not verify.

@@ -1,24 +1,28 @@
-"""Sharded dispatch and the pooled service tier.
+"""Service dispatch and the pooled service tier.
 
 Covers the service-side half of the multi-core story: consistent-hash
-routing of ``(tenant, key)`` onto workers, the pooled end-to-end signing
-path (byte-identical, crash-transparent), per-worker telemetry in the
-``stats`` snapshot, and the dispatch-overlap regression — two ready
+routing of each key onto a worker by :class:`PooledBackend`, the pooled
+end-to-end signing path (byte-identical, crash-transparent), per-worker
+telemetry and the route table in the ``stats`` snapshot, the service's
+process lifecycle, and the dispatch-overlap regression — two ready
 batches for different tenants must sign *concurrently* when the backend
 supports it, instead of serializing behind the service's sign lock.
 """
 
 import asyncio
+import multiprocessing
 import threading
 import time
 
 import pytest
 
-from repro.runtime import WorkerPool, get_backend, register_backend
+from repro.errors import ServiceError
+from repro.runtime import (PooledBackend, WorkerPool, get_backend,
+                           register_backend)
 from repro.runtime.backend import BackendCapabilities, SigningBackend
 from repro.runtime.registry import _REGISTRY
-from repro.service import (Keystore, ShardedDispatcher, SigningService,
-                           derive_seed, render_snapshot)
+from repro.service import (Keystore, SigningService, derive_seed,
+                           render_snapshot)
 
 SEED = bytes(48)
 
@@ -38,49 +42,57 @@ def pool():
         yield shared
 
 
-class TestShardedDispatcher:
-    def test_route_is_stable_and_recorded(self, pool):
-        dispatcher = ShardedDispatcher(pool)
-        slot = dispatcher.route("acme", "default")
-        assert slot == dispatcher.route("acme", "default")
+def _jobs_by_slot(pool) -> dict[str, int]:
+    return {slot: worker["jobs"]
+            for slot, worker in pool.stats()["per_worker"].items()}
+
+
+class TestPooledBackendRouting:
+    def test_batch_lands_on_stable_shard_slot(self, pool):
+        backend = PooledBackend("128f", deterministic=True, pool=pool)
+        keys, _ = _keystore(("acme",)).resolve("acme", "default")
+        slot = pool.worker_for(PooledBackend.shard_key(keys))
+        assert slot == pool.worker_for(PooledBackend.shard_key(keys))
         assert 0 <= slot < pool.workers
-
-    def test_sign_batch_routes_and_counts(self, pool):
-        dispatcher = ShardedDispatcher(pool)
-        keystore = _keystore(("acme",))
-        keys, params = keystore.resolve("acme", "default")
-        messages = [b"one", b"two"]
-
-        async def run():
-            return await dispatcher.sign_batch(
-                "acme", "default", messages, keys, params)
-
-        outcome = asyncio.run(run())
+        before = _jobs_by_slot(pool)
+        result = backend.sign_batch([b"one", b"two"], keys)
+        after = _jobs_by_slot(pool)
+        assert {s: after[s] - before[s] for s in after} == {
+            str(s): int(s == slot) for s in range(pool.workers)}
         scalar = get_backend("scalar", "128f", deterministic=True)
-        assert outcome.signatures == scalar.sign_batch(messages,
-                                                       keys).signatures
-        assert outcome.workers == (dispatcher.route("acme", "default"),)
-        assert not outcome.split
-        stats = dispatcher.stats()
-        assert stats["routes"]["acme/default"]["batches"] == 1
-        assert stats["routes"]["acme/default"]["messages"] == 2
+        assert result.signatures == scalar.sign_batch([b"one", b"two"],
+                                                      keys).signatures
 
-    def test_large_batch_splits_across_workers(self, pool):
-        dispatcher = ShardedDispatcher(pool, split_factor=2)
-        keystore = _keystore(("acme",))
-        keys, params = keystore.resolve("acme", "default")
+    def test_split_batch_byte_identical(self, pool):
+        backend = PooledBackend("128f", deterministic=True, pool=pool)
+        keys, _ = _keystore(("acme",)).resolve("acme", "default")
         messages = [f"m{i}".encode() for i in range(2 * pool.workers)]
+        result = backend.sign_batch(messages, keys)
+        assert result.cache_stats["workers"] == pool.workers
+        scalar = get_backend("scalar", "128f", deterministic=True)
+        assert result.signatures == scalar.sign_batch(messages,
+                                                      keys).signatures
+
+    def test_routes_recorded_in_stats(self, pool):
+        keystore = _keystore(("acme",))
+        keys, _ = keystore.resolve("acme", "default")
+        service = SigningService(keystore, target_batch_size=2,
+                                 max_wait_s=0.05, deterministic=True,
+                                 pool=pool)
 
         async def run():
-            return await dispatcher.sign_batch(
-                "acme", "default", messages, keys, params)
+            await asyncio.gather(service.sign(b"one", "acme"),
+                                 service.sign(b"two", "acme"))
+            return service.stats()
 
-        outcome = asyncio.run(run())
-        assert outcome.split
-        assert set(outcome.workers) == {0, 1}
-        scalar = get_backend("scalar", "128f", deterministic=True)
-        assert outcome.signatures == scalar.sign_batch(messages,
-                                                       keys).signatures
+        try:
+            stats = asyncio.run(run())
+        finally:
+            service.close()
+        assert pool.alive_workers() == pool.workers  # not the service's
+        assert stats["pool"]["routes"] == {"acme/default": {
+            "slot": pool.worker_for(PooledBackend.shard_key(keys)),
+            "batches": 1, "messages": 2}}
 
 
 class TestPooledService:
@@ -134,14 +146,51 @@ class TestPooledService:
         finally:
             service.close()
 
+    def test_prewarm_only_at_construction_and_rotation(self):
+        keystore = _keystore(("acme",))
+        service = SigningService(keystore, target_batch_size=1,
+                                 max_wait_s=0.01, deterministic=True,
+                                 workers=2)
+        warmed = []
+        real_warm = service.pool.warm
+
+        def warm(keys, params, **kwargs):
+            warmed.append(keys.pk_seed)
+            real_warm(keys, params, **kwargs)
+
+        service.pool.warm = warm
+        # A set whose first tenant arrives after startup: its first
+        # batch signs cold instead of queueing behind a set-wide warm.
+        keystore.add_tenant("late", "192f")
+        for key_name in ("default", "spare"):
+            keystore.generate_key("late", key_name,
+                                  seed=derive_seed(f"late/{key_name}", 24))
+
+        async def first_batch():
+            outcome = await service.sign(b"late", "late")
+            await service.drain()
+            return outcome
+
+        try:
+            outcome = asyncio.run(first_batch())
+            assert outcome.backend == "pooled[2]"
+            assert warmed == []
+            rotated = keystore.rotate_key(
+                "late", "default", seed=derive_seed("late/rotated", 24))
+            assert warmed == [rotated.pk_seed]
+        finally:
+            service.close()
+
     def test_worker_crash_is_transparent_to_clients(self):
         keystore = _keystore(("acme",))
         service = SigningService(keystore, target_batch_size=4,
                                  max_wait_s=0.05, deterministic=True,
                                  workers=2)
 
+        keys, _ = keystore.resolve("acme", "default")
+
         async def run():
-            victim = service.dispatcher.route("acme", "default")
+            victim = service.pool.worker_for(PooledBackend.shard_key(keys))
             service.pool.inject_crash(victim, when="next-job")
             outcome = await service.sign(b"survives", "acme")
             await service.drain()
@@ -158,6 +207,70 @@ class TestPooledService:
     def test_rejects_negative_workers(self):
         with pytest.raises(Exception, match="workers"):
             SigningService(_keystore(), workers=-1)
+
+    def test_rejects_pooled_backend_naming_workers(self):
+        with pytest.raises(ServiceError, match="workers=N"):
+            SigningService(_keystore(), backend="pooled")
+
+
+class TestServiceLifecycle:
+    def test_close_leaves_no_worker_processes(self):
+        """Two tenants on two parameter sets over the worker tier:
+        every process the service started is gone after close()."""
+        before = set(multiprocessing.active_children())
+        keystore = Keystore()
+        for name, params in (("acme", "128f"), ("beta", "192f")):
+            keystore.add_tenant(name, params)
+            keystore.generate_key(name, "default")
+        service = SigningService(keystore, target_batch_size=1,
+                                 max_wait_s=0.05, workers=2)
+
+        async def run():
+            await asyncio.gather(service.sign(b"a", "acme"),
+                                 service.sign(b"b", "beta"))
+
+        try:
+            asyncio.run(run())
+            assert set(multiprocessing.active_children()) - before
+        finally:
+            service.close()
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_close_closes_every_backend_it_created(self):
+        closed = []
+
+        class Closable(SigningBackend):
+            name = "test-closable"
+
+            def capabilities(self):
+                return BackendCapabilities(
+                    name=self.name, kind="cpu", vectorized=False,
+                    deterministic=True, preferred_batch=1)
+
+            def sign_batch(self, messages, keys):
+                return self._timed_result([b"sig" for _ in messages],
+                                          time.perf_counter())
+
+            def close(self):
+                closed.append(self.params.name)
+
+        register_backend("test-closable", Closable)
+        keystore = _keystore(("acme",))
+        keystore.add_tenant("beta", "192f")
+        keystore.generate_key("beta", "default")
+        service = SigningService(keystore, backend="test-closable",
+                                 target_batch_size=1, max_wait_s=0.05)
+
+        async def run():
+            await asyncio.gather(service.sign(b"a", "acme"),
+                                 service.sign(b"b", "beta"))
+
+        try:
+            asyncio.run(run())
+        finally:
+            service.close()
+            _REGISTRY.pop("test-closable", None)
+        assert sorted(closed) == ["SPHINCS+-128f", "SPHINCS+-192f"]
 
 
 class TestDispatchOverlap:

@@ -281,3 +281,26 @@ class TestRestart:
                 await restarted.stop()
 
         asyncio.run(scenario())
+
+    def test_close_fails_in_flight_requests_as_connection_lost(self):
+        """Closing a client under in-flight requests fails them with the
+        retryable typed error, so a router that drops a slow node's wire
+        fails the request over instead of reporting it as an error."""
+        async def scenario():
+            async def silent_server(reader, writer):
+                await reader.readline()
+                await reader.read()  # never answers
+
+            stub = await asyncio.start_server(silent_server, "127.0.0.1", 0)
+            port = stub.sockets[0].getsockname()[1]
+            client = ServiceClient(*await asyncio.open_connection(
+                port=port, limit=protocol.LINE_LIMIT))
+            pending = asyncio.ensure_future(client.sign(b"m", "demo"))
+            await asyncio.sleep(0.05)
+            await client.close()
+            with pytest.raises(ConnectionLostError, match="client closed"):
+                await asyncio.wait_for(pending, timeout=30)
+            stub.close()
+            await stub.wait_closed()
+
+        asyncio.run(scenario())

@@ -41,6 +41,28 @@ class TestCli:
         assert "vectorized" in out
         assert "SPHINCS+-128f" in out
         assert "sig/s" in out
+        assert "verified" in out and " ok" in out
+
+    def test_serve_exits_one_when_verification_fails(self, capsys,
+                                                    monkeypatch):
+        from repro.runtime.vectorized import VectorizedBackend
+
+        monkeypatch.setattr(
+            VectorizedBackend, "verify_batch",
+            lambda self, messages, signatures, public_key:
+                [False] * len(messages))
+        assert main(["serve", "--params", "128f", "--backends", "vectorized",
+                     "--messages", "2", "--deterministic", "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.out
+        assert "failed verification" in captured.err
+
+    def test_serve_splits_messages_into_batches(self, capsys):
+        assert main(["serve", "--params", "128f", "--backends", "scalar",
+                     "--messages", "3", "--batch-size", "2",
+                     "--deterministic"]) == 0
+        out = capsys.readouterr().out
+        assert " 3 " in out  # both batches counted under one row
 
     def test_serve_on_worker_pool(self, capsys):
         assert main(["serve", "--params", "128f", "--backends", "vectorized",
@@ -149,7 +171,7 @@ class TestConformanceCli:
                      "--backends", "scalar,vectorized",
                      "--no-service"]) == 0
         out = capsys.readouterr().out
-        assert "backend:scalar" in out and "scheduler:vectorized" in out
+        assert "backend:scalar" in out and "backend:vectorized" in out
         assert "all paths byte-identical and verified" in out
 
     def test_injected_fault_exits_nonzero_naming_stage(self, capsys):

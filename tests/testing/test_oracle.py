@@ -23,7 +23,6 @@ class TestCleanTree:
         assert paths == {"reference", "backend:scalar", "backend:vectorized",
                          "backend:scalar+layercache",
                          "backend:vectorized+warm",
-                         "scheduler:scalar", "scheduler:vectorized",
                          "ledger:audit"}
         for result in report.results:
             assert result.count == result.matched == result.verified == 3
@@ -35,8 +34,7 @@ class TestCleanTree:
         requires every receipt's inclusion proof to verify, and replays
         the on-disk log through the differential audit."""
         oracle = differential_oracle(
-            "128f", backends=["scalar"], corpus=SMALL_CORPUS,
-            include_scheduler=False)
+            "128f", backends=["scalar"], corpus=SMALL_CORPUS)
         report = oracle.run()
         assert report.passed, report.render()
         ledger = next(result for result in report.results
@@ -46,14 +44,14 @@ class TestCleanTree:
 
         without = differential_oracle(
             "128f", backends=["scalar"], corpus=SMALL_CORPUS,
-            include_scheduler=False, include_ledger=False).run()
+            include_ledger=False).run()
         assert not any(result.path == "ledger:audit"
                        for result in without.results)
 
     def test_service_path_included(self, differential_oracle):
         oracle = differential_oracle(
             "128f", backends=["vectorized"], corpus=SMALL_CORPUS,
-            include_scheduler=False, include_service=True)
+            include_service=True)
         report = oracle.run()
         assert report.passed
         assert any(result.path == "service:vectorized"
@@ -67,7 +65,7 @@ class TestCleanTree:
         the reference scheme."""
         oracle = differential_oracle(
             "128f", backends=["vectorized", "pooled"], corpus=SMALL_CORPUS,
-            include_scheduler=False, include_clients=True)
+            include_clients=True)
         report = oracle.run()
         assert report.passed, report.render()
         client_paths = {result.path for result in report.results
@@ -85,7 +83,7 @@ class TestFaultInjection:
         fault = parse_fault("thash:bitflip:7:0")
         oracle = differential_oracle(
             "128f", backends=["scalar", "vectorized"], corpus=SMALL_CORPUS,
-            include_scheduler=False, fault=fault, fault_target="scalar")
+            fault=fault, fault_target="scalar")
         report = oracle.run()
         assert not report.passed
         assert report.fault_fired
@@ -108,7 +106,7 @@ class TestFaultInjection:
         fault = parse_fault("thash:bitflip:999999999")
         oracle = differential_oracle(
             "128f", backends=["scalar"], corpus=SMALL_CORPUS[:1],
-            include_scheduler=False, fault=fault)
+            fault=fault)
         report = oracle.run()
         assert report.passed  # nothing corrupted...
         assert not report.fault_fired  # ...and the report says why
@@ -131,8 +129,7 @@ class TestExtensibility:
         try:
             oracle = DifferentialOracle(
                 "128f", backends=["test-corrupted"], corpus=SMALL_CORPUS[:1],
-                include_scheduler=False, include_service=False,
-                include_clients=False)
+                include_service=False, include_clients=False)
             report = oracle.run()
             assert not report.passed
             divergence = report.first_divergence()
@@ -159,7 +156,7 @@ class TestExtensibility:
             assert report.passed
             limited = [r for r in report.results
                        if r.path.endswith("test-limited")]
-            assert len(limited) == 2  # backend + scheduler paths
+            assert len(limited) == 1  # the direct backend path
             assert all(r.skipped and r.ok for r in limited)
             assert "skipped" in report.render()
         finally:
@@ -177,8 +174,8 @@ class TestExtensibility:
         try:
             oracle = DifferentialOracle(
                 "128f", backends=["test-hookless"], corpus=SMALL_CORPUS[:1],
-                include_scheduler=False, include_service=False,
-                include_clients=False, fault=parse_fault("thash:bitflip"),
+                include_service=False, include_clients=False,
+                fault=parse_fault("thash:bitflip"),
                 fault_target="test-hookless")
             with pytest.raises(ConformanceError, match="hash_context"):
                 oracle.run()
@@ -188,8 +185,7 @@ class TestExtensibility:
     def test_unknown_backend_is_an_error_not_a_crash(self):
         oracle = DifferentialOracle(
             "128f", backends=["no-such-backend"], corpus=SMALL_CORPUS[:1],
-            include_scheduler=False, include_service=False,
-                include_clients=False)
+            include_service=False, include_clients=False)
         report = oracle.run()
         assert not report.passed
         broken = [r for r in report.results
