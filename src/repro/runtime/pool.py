@@ -11,15 +11,21 @@ batches for the same shard key land on the same worker and hit its warm
 caches; batches with no affinity go to the least-loaded worker, and very
 large batches can be split across every worker.
 
-The pool is crash-tolerant: a worker that dies mid-batch is detected by
-the collector thread, its in-flight batches are requeued onto sibling
-workers (bounded by ``max_retries``), and the dead slot is respawned so
-the pool returns to N workers.  Only when every retry also lands on a
-dying worker does the caller see a typed
-:class:`~repro.errors.WorkerCrashedError`.  Request and response queues
-are both per-worker: no queue is ever shared between worker processes,
-so a worker dying mid-``put`` can wedge only its own channel — which
-dies with it at respawn — never a sibling's.
+The parent side is event-driven: one collector thread blocks in
+:func:`multiprocessing.connection.wait` on every worker's result pipe
+and every worker's process sentinel.  A finished batch wakes it at once
+and is handed to the waiting caller; nothing polls on a timer.
+
+The pool is crash-tolerant: a worker that dies mid-batch wakes the
+collector through its sentinel, its in-flight batches are requeued onto
+sibling workers (bounded by ``max_retries``), and the dead slot is
+respawned so the pool returns to N workers.  Only when every retry also
+lands on a dying worker does the caller see a typed
+:class:`~repro.errors.WorkerCrashedError`.  Each worker has its own
+request queue and its own one-way result pipe, whose sending end only
+that worker holds: no channel is shared between worker processes, and a
+worker killed mid-send reads as end-of-file to the parent — never a
+blocked receive, never a sibling's wedged channel.
 
 :class:`PooledBackend` wraps a pool in the standard
 :class:`SigningBackend` interface and registers under the name
@@ -37,10 +43,10 @@ import bisect
 import hashlib
 import itertools
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 from typing import Iterable, Sequence
 
 from ..errors import BackendError, WorkerCrashedError
@@ -55,10 +61,10 @@ _log = get_logger("pool")
 __all__ = ["HashRing", "PoolSignOutcome", "PooledBackend", "WorkerPool",
            "WorkerStats", "merge_cache_stats"]
 
-#: How long the collector blocks on the response queue before scanning
-#: worker liveness.  Small enough that a crash is noticed promptly; large
-#: enough that an idle pool costs nothing measurable.
-_COLLECT_TICK_S = 0.05
+#: How often the collector retries a failed respawn.  An unstaffed slot
+#: has no process sentinel to wake the collector, so this is the one case
+#: its wait is bounded; results and worker deaths never wait on it.
+_RESPAWN_RETRY_S = 0.05
 
 #: Exit code workers use for injected crashes (tests, chaos drills), so a
 #: drill is distinguishable from a real fault in the logs.
@@ -155,6 +161,8 @@ def _worker_main(worker_id: int, backend_name: str, deterministic: bool,
     Top-level (not a closure) so it pickles under the spawn start method.
     One backend instance per parameter set lives for the worker's whole
     life — its FastOps/subtree caches are the warmth the pool preserves.
+    Requests arrive on the *inbox* queue; every reply goes out on
+    *outbox*, the sending end of this worker's own result pipe.
     """
     from .registry import get_backend  # after fork/spawn, in the child
 
@@ -176,7 +184,7 @@ def _worker_main(worker_id: int, backend_name: str, deterministic: bool,
             break
         kind = item[0]
         if kind == "ping":
-            outbox.put(("pong", worker_id, item[1]))
+            outbox.send(("pong", worker_id, item[1]))
         elif kind == "warm":
             # Preload a tenant key: build the backend and prewarm its
             # layer cache (pinned subtrees + link signatures) so the
@@ -185,11 +193,11 @@ def _worker_main(worker_id: int, backend_name: str, deterministic: bool,
             try:
                 backend = backend_for(params_name)
                 backend.prewarm_key(KeyPair(*key_fields))
-                outbox.put(("warmed", worker_id, params_name,
-                            dict(backend.cache_stats())))
+                outbox.send(("warmed", worker_id, params_name,
+                             dict(backend.cache_stats())))
             except Exception as exc:  # noqa: BLE001 — report, stay alive
-                outbox.put(("warm-error", worker_id,
-                            f"{type(exc).__name__}: {exc}"))
+                outbox.send(("warm-error", worker_id,
+                             f"{type(exc).__name__}: {exc}"))
         elif kind == "invalidate":
             # Drop cached per-key state (key rotation / tenant delete).
             # key_fields None means "everything for every parameter set".
@@ -202,7 +210,7 @@ def _worker_main(worker_id: int, backend_name: str, deterministic: bool,
                     backend.invalidate_all()
                 else:
                     backend.invalidate_key(KeyPair(*key_fields))
-            outbox.put(("invalidated", worker_id))
+            outbox.send(("invalidated", worker_id))
         elif kind == "crash":
             # Fault-injection hook (tests, chaos drills): die now, or on
             # receipt of the next sign job — i.e. mid-batch.
@@ -223,12 +231,13 @@ def _worker_main(worker_id: int, backend_name: str, deterministic: bool,
                 spans = (_worker_spans(worker_id, trace, started_wall,
                                        busy_s, result)
                          if trace is not None else ())
-                outbox.put(("result", worker_id, job_id, result.signatures,
-                            busy_s, dict(result.cache_stats), spans))
+                outbox.send(("result", worker_id, job_id,
+                             result.signatures, busy_s,
+                             dict(result.cache_stats), spans))
             except Exception as exc:  # noqa: BLE001 — typed error, not a crash
-                outbox.put(("error", worker_id, job_id,
-                            f"{type(exc).__name__}: {exc}",
-                            time.perf_counter() - started))
+                outbox.send(("error", worker_id, job_id,
+                             f"{type(exc).__name__}: {exc}",
+                             time.perf_counter() - started))
 
 
 def _worker_spans(worker_id: int, trace: tuple, started_wall: float,
@@ -342,7 +351,8 @@ class WorkerPool:
         Default wait bound for :meth:`result` / :meth:`sign_batch`
         (per-call ``timeout`` overrides it; ``None`` waits forever).
         Sized for the slowest legitimate batch, not for crash detection —
-        crashes surface in milliseconds via the collector.
+        a crash surfaces as soon as the worker process exits, through
+        its sentinel.
     cache_budget_mb:
         Per-key layer-cache budget each worker's inner backend gets
         (merged into ``backend_options``; an explicit
@@ -424,20 +434,27 @@ class WorkerPool:
     # Lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, slot: int) -> None:
-        # Queues are installed before start() so that even a failed
-        # spawn leaves the slot with live channels — submissions routed
+        # Channels are installed before start() so that even a failed
+        # spawn leaves the slot with a live inbox — submissions routed
         # there are tracked in _jobs and re-routed by the next recovery
-        # tick, they must never hit a closed queue.
+        # pass, they must never hit a closed queue.
         inbox = self._mp.Queue()
-        outbox = self._mp.Queue()
+        results, outbox = self._mp.Pipe(duplex=False)
         self._inboxes[slot] = inbox
-        self._outboxes[slot] = outbox
+        self._outboxes[slot] = results
         proc = self._mp.Process(
             target=_worker_main,
             args=(slot, self.backend_name, self.deterministic,
                   self.backend_options, inbox, outbox),
             name=f"sign-worker-{slot}", daemon=True)
-        proc.start()
+        try:
+            proc.start()
+        finally:
+            # The worker must hold the only sending end: then its death,
+            # even mid-send, reads as EOF on `results` instead of leaving
+            # the collector blocked in recv().  Closing it before the next
+            # fork also keeps it out of every later worker.
+            outbox.close()
         self._procs[slot] = proc
         self.stats_by_worker[slot].last_seen = time.monotonic()
 
@@ -464,8 +481,12 @@ class WorkerPool:
                 proc.join(timeout=2.0)
                 if proc.is_alive():
                     proc.terminate()
-        if self._collector.is_alive():
-            self._collector.join(timeout=2.0)
+        # Every exited worker woke the collector through its sentinel.
+        self._collector.join(timeout=2.0)
+        if not self._collector.is_alive():
+            for results in self._outboxes:  # the collector's, until now
+                if results is not None:
+                    results.close()
         atexit.unregister(self.close)
 
     def __enter__(self) -> "WorkerPool":
@@ -543,8 +564,8 @@ class WorkerPool:
                         self._abandoned.add(job_id)
                     raise BackendError(
                         f"pool job {job_id} timed out after {timeout}s")
-                self._cond.wait(timeout=remaining if remaining is None
-                                else min(remaining, _COLLECT_TICK_S * 4))
+                # Every result, error, recovery and close notifies.
+                self._cond.wait(timeout=remaining)
             kind, payload, extra = self._results.pop(job_id)
         if kind == "ok":
             return payload
@@ -612,16 +633,15 @@ class WorkerPool:
                 inbox.put(("ping", token))
             except (ValueError, OSError):
                 pass
-        deadline = time.monotonic() + timeout
 
         def answered(slot: int) -> bool:
             return self._pongs.get(slot) == token
 
-        while time.monotonic() < deadline:
-            if all(answered(slot) for slot in range(self.workers)):
-                break
-            time.sleep(_COLLECT_TICK_S)
-        return {slot: answered(slot) for slot in range(self.workers)}
+        with self._cond:  # every pong notifies
+            self._cond.wait_for(
+                lambda: all(answered(slot) for slot in range(self.workers)),
+                timeout)
+            return {slot: answered(slot) for slot in range(self.workers)}
 
     def warm(self, keys: KeyPair, params: SphincsParams | str, *,
              worker: int | None = None, shard_key: str | None = None) -> None:
@@ -726,38 +746,33 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Collector thread
     # ------------------------------------------------------------------
-    def _drain_outboxes(self) -> int:
-        """Pull every ready message off every worker's response queue."""
-        drained = 0
-        for slot in range(self.workers):
-            outbox = self._outboxes[slot]
-            if outbox is None:
-                continue
-            while True:
-                try:
-                    message = outbox.get_nowait()
-                except queue.Empty:
-                    break
-                except (OSError, ValueError, EOFError):
-                    break  # channel torn down (close/respawn race)
-                self._handle_message(message)
-                drained += 1
-        return drained
+    def _drain(self, slot: int) -> None:
+        """Handle every message waiting on *slot*'s result pipe.
+
+        At EOF the worker is gone (or its respawn failed): the reader is
+        closed and dropped, so the collector stops waiting on it and
+        learns of the death from the process sentinel instead.
+        """
+        results = self._outboxes[slot]
+        while results is not None and results.poll():
+            try:
+                message = results.recv()
+            except (EOFError, OSError):
+                results.close()
+                self._outboxes[slot] = None
+                return
+            self._handle_message(message)
 
     def _collect_loop(self) -> None:
-        while True:
-            if self._closing:
-                return
+        while not self._closing:
             # The collector is the pool's only recovery mechanism: it
             # must survive anything recovery itself throws (a respawn
-            # hitting EAGAIN, a queue racing close()).  An unexpected
+            # hitting EAGAIN, a channel racing close()).  An unexpected
             # error fails the in-flight jobs — callers unblock with a
             # typed error instead of hanging — and the loop keeps
-            # serving; _check_liveness retries the respawn next tick.
+            # serving; _check_liveness retries the respawn next pass.
             try:
-                if self._drain_outboxes() == 0:
-                    self._check_liveness()
-                    time.sleep(_COLLECT_TICK_S)
+                self._collect_once()
             except Exception as exc:  # noqa: BLE001 — must not die
                 if self._closing:
                     return
@@ -771,6 +786,28 @@ class WorkerPool:
                             f"pool collector failed while recovering: "
                             f"{type(exc).__name__}: {exc}"))
                     self._cond.notify_all()
+
+    def _collect_once(self) -> None:
+        """Block until a worker replies or exits, then handle it.
+
+        The wait covers every worker's result pipe and process sentinel,
+        so a result reaches its caller and a death reaches
+        :meth:`_check_liveness` the moment either happens.  Only an
+        unstaffed slot bounds the wait: a failed respawn leaves no
+        process to wake on, so it is retried every ``_RESPAWN_RETRY_S``.
+        """
+        readers = {results: slot
+                   for slot, results in enumerate(self._outboxes)
+                   if results is not None}
+        sentinels = [proc.sentinel for proc in self._procs
+                     if proc is not None]
+        ready = mp_connection.wait(
+            [*readers, *sentinels],
+            _RESPAWN_RETRY_S if None in self._procs else None)
+        for handle in ready:
+            if handle in readers:
+                self._drain(readers[handle])
+        self._check_liveness()
 
     def _discard_if_abandoned(self, job_id: int) -> bool:
         """True when the submitter timed out waiting on *job_id*: the
@@ -837,7 +874,9 @@ class WorkerPool:
             stats.warm_errors += 1
             stats.last_warm_error = message[2]
         elif kind == "pong":
-            self._pongs[worker_id] = message[2]
+            with self._cond:
+                self._pongs[worker_id] = message[2]
+                self._cond.notify_all()
 
     def _check_liveness(self) -> None:
         for slot in range(self.workers):
@@ -863,13 +902,16 @@ class WorkerPool:
         with self._cond:
             # Salvage any responses the dead worker delivered before
             # dying, then discard both of its channels.
-            self._drain_outboxes()
-            old_channels = (self._inboxes[slot], self._outboxes[slot])
+            for other in range(self.workers):
+                self._drain(other)
+            old_inbox, old_results = self._inboxes[slot], self._outboxes[slot]
+            self._outboxes[slot] = None  # until a respawn installs one
             try:
                 self._spawn(slot)
             except Exception:  # noqa: BLE001 — transient (EAGAIN); retried
-                # Leave the slot unstaffed; _check_liveness retries next
-                # tick.  Its jobs are still requeued onto siblings below.
+                # Leave the slot unstaffed; the collector retries after
+                # _RESPAWN_RETRY_S.  Its jobs are still requeued onto
+                # siblings below.
                 self._procs[slot] = None
             else:
                 self.stats_by_worker[slot].respawns += 1
@@ -886,12 +928,13 @@ class WorkerPool:
                                                  key_fields))
                     except (ValueError, OSError):
                         pass
-            for channel in old_channels:
-                try:
-                    channel.cancel_join_thread()
-                    channel.close()
-                except (OSError, ValueError):
-                    pass
+            try:
+                old_inbox.cancel_join_thread()
+                old_inbox.close()
+            except (OSError, ValueError):
+                pass
+            if old_results is not None:
+                old_results.close()
             stranded = [job for job in self._jobs.values()
                         if job.slot == slot]
             for job in stranded:
@@ -912,7 +955,7 @@ class WorkerPool:
                     # Nowhere to deliver (respawn failed, no live
                     # sibling): park the job on this slot without
                     # charging a retry — max_retries bounds actual
-                    # delivery attempts, not recovery ticks.  The next
+                    # delivery attempts, not respawn retries.  The next
                     # successful respawn re-runs this loop and delivers.
                     continue
                 # Release the dead slot's in-flight accounting; the job is

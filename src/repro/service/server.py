@@ -439,6 +439,15 @@ class SigningService:
         done = loop.time()
         if self.pool is not None:
             self._record_route(tenant, key_name, keys, len(batch))
+            # Pool round trip not spent signing: IPC, pickling and the
+            # collector's hand-off.  A split batch sums busy time over
+            # its shards, which can exceed the wall time; count that as 0.
+            stages = result.stage_seconds
+            self.metrics_registry.histogram(
+                "repro_pool_handoff_ms",
+                "Per-batch pool round trip minus worker signing time",
+            ).observe(max(0.0, stages["pool"] - stages["workers_busy"])
+                      * 1000.0)
         if traced:
             done_wall = dispatch_wall + (time.perf_counter()
                                          - dispatch_mono)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import BackendError, WorkerCrashedError
 from repro.runtime import WorkerPool, available_backends, get_backend
+from repro.runtime import pool as pool_module
 from repro.runtime.pool import HashRing
 
 MESSAGES = [b"alpha", b"bravo", b"charlie", b"delta", b"echo"]
@@ -221,6 +222,44 @@ class TestCrashRecovery:
             outcome = pool.sign_batch(MESSAGES[:2], keys, "128f",
                                       worker=0)
             assert outcome.workers == (0,)
+
+
+class TestEventDrivenHandOff:
+    """Results, crashes and shutdown wake the collector at once.  The
+    only timed wait left, the respawn retry interval, is stretched to
+    30 s: any of these paths that still waited on it would time out."""
+
+    @pytest.fixture(autouse=True)
+    def slow_retry_interval(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_RESPAWN_RETRY_S", 30.0)
+
+    def test_warm_result_is_handed_off_without_a_tick(self, keys):
+        with WorkerPool(workers=1, deterministic=True) as pool:
+            pool.sign_batch([b"warm-up"], keys, "128f", timeout=10.0)
+            outcome = pool.sign_batch([b"warm"], keys, "128f",
+                                      timeout=10.0)
+        assert outcome.elapsed_s - outcome.busy_s < 1.0
+
+    def test_crash_is_detected_through_the_sentinel(self, keys, reference):
+        with WorkerPool(workers=2, deterministic=True) as pool:
+            victim = pool.worker_for("victim/default")
+            pool.inject_crash(victim, when="next-job")
+            started = time.monotonic()
+            outcome = pool.sign_batch(MESSAGES, keys, "128f",
+                                      shard_key="victim/default",
+                                      timeout=10.0)
+            assert time.monotonic() - started < 10.0
+        assert outcome.requeues == 1
+        assert outcome.signatures == reference
+
+    def test_close_wakes_a_blocked_collector(self):
+        pool = WorkerPool(workers=2, deterministic=True)
+        time.sleep(0.2)  # let the idle collector block
+        started = time.monotonic()
+        pool.close()
+        assert time.monotonic() - started < 5.0
+        assert not pool._collector.is_alive()
+        assert pool.alive_workers() == 0
 
 
 class TestPooledBackend:

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError
+from repro.obs import parse_prometheus
 from repro.runtime import (PooledBackend, WorkerPool, get_backend,
                            register_backend)
 from repro.runtime.backend import BackendCapabilities, SigningBackend
@@ -131,6 +132,27 @@ class TestPooledService:
         report = render_snapshot(stats)
         assert "Worker pool (2/2 alive" in report
         assert "Shard routing (consistent hash)" in report
+
+    def test_handoff_histogram_on_metrics(self):
+        """Each pooled batch records its hand-off cost (pool round trip
+        minus worker signing time) as a live Prometheus histogram."""
+        service = SigningService(_keystore(("acme",)), deterministic=True,
+                                 max_wait_s=0.01, workers=1)
+
+        async def run():
+            await service.sign(b"one pooled batch", "acme")
+            await service.drain()
+
+        try:
+            asyncio.run(run())
+            samples = parse_prometheus(
+                service.metrics_registry.render_prometheus())
+        finally:
+            service.close()
+        assert samples["repro_pool_handoff_ms_count"] == [({}, 1.0)]
+        [(_, handoff_ms)] = samples["repro_pool_handoff_ms_sum"]
+        assert handoff_ms >= 0.0
+        assert "repro_pool_handoff_ms_bucket" in samples
 
     def test_tenant_keys_preloaded_on_home_workers(self):
         keystore = _keystore()
